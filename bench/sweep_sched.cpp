@@ -20,10 +20,11 @@
 // Wall clocks are reported alongside, informationally.
 //
 // Section 2: a real campaign grid with genuine cost skew (Lulesh 2.0 on
-// Linux pays the brk-churn price — tens of ms — while LWK cells run in
-// ~1ms) timed on both pools, asserting the pools produce byte-identical
-// cell statistics (the positional-seed determinism contract), and printing
-// measured cell cost against the placement model's estimate.
+// Linux pays the brk-churn price — about 2–3x a MiniFE cell, 1.4–3.5 ms
+// against 0.5–1.2 ms on a 4-core Xeon) timed on both pools, asserting the
+// pools produce byte-identical cell statistics (the positional-seed
+// determinism contract), and printing measured cell cost against the
+// placement model's estimate.
 //
 // Section 3 (multi-process, emulated): the same grid split across two
 // shards (MKOS_SHARD semantics, DESIGN.md §16) running concurrently over

@@ -74,14 +74,14 @@ class HeapEngine {
   /// the placement's chunk composition never enters the price). Monotone
   /// counters (queries, faults, cum_growth, ...) are deliberately excluded
   /// so that a brk cycle which restores the heap shape maps to the same
-  /// fingerprint. Used by the symmetric-lane fast path in
-  /// MpiWorld::heap_cycle to detect lanes in identical states.
+  /// fingerprint. Used by MpiWorld::heap_cycle's symmetric-lane and
+  /// per-class replay to detect lanes in identical states.
   ///
   /// Memoized against a mutation revision counter: the SPMD steady state
   /// fingerprints every lane between every cycle, so recomputing the hash
   /// only after sbrk/touch_new/set_policy turns the dominant profile entry
-  /// into a counter compare. replay_cycle() deliberately does not bump the
-  /// revision — it advances only the monotone counters the hash excludes.
+  /// into a counter compare. apply_replay_delta() deliberately does not bump
+  /// the revision — it advances only the monotone counters the hash excludes.
   [[nodiscard]] std::uint64_t state_fingerprint() const {
     if (fp_rev_ != rev_) {
       fp_cache_ = compute_fingerprint();
@@ -90,17 +90,10 @@ class HeapEngine {
     return fp_cache_;
   }
 
-  /// Replay the counter deltas of a simulated representative cycle onto this
-  /// engine without re-simulating it. Precondition (checked): the cycle left
-  /// the representative's state untouched (current/max_break unchanged), so
-  /// only monotone counters advance. Header-inline: the fast path calls this
-  /// once per lane per cycle, so call overhead was measurable.
-  void replay_cycle(const HeapStats& before, const HeapStats& after) {
-    apply_replay_delta(replay_delta(before, after));
-  }
-
-  /// The monotone-counter delta of a state-neutral cycle, checked once so a
-  /// replay across many lanes can apply the subtraction-free form below.
+  /// The monotone-counter delta of a state-neutral cycle. Precondition
+  /// (checked): the cycle left the break and high-water mark unchanged, so
+  /// only monotone counters advance. Checked once, so a replay across many
+  /// lanes can apply the subtraction-free form below.
   [[nodiscard]] static HeapStats replay_delta(const HeapStats& before, const HeapStats& after) {
     MKOS_EXPECTS(after.current == before.current);
     MKOS_EXPECTS(after.max_break == before.max_break);
@@ -114,6 +107,9 @@ class HeapEngine {
     return d;
   }
 
+  /// Replay a recorded cycle's counter delta onto this engine without
+  /// re-simulating it. Header-inline: the fast paths call this once per
+  /// lane per replayed cycle, so call overhead was measurable.
   void apply_replay_delta(const HeapStats& d) {
     stats_.queries += d.queries;
     stats_.grows += d.grows;

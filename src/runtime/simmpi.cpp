@@ -30,6 +30,15 @@ std::uint64_t phys_fingerprint(const mem::PhysMemory& phys) {
   return h;
 }
 
+/// True when any domain carries a fault hook. An armed hook may draw
+/// randomness on every allocation, which a replayed lane would skip.
+bool phys_hooked(const mem::PhysMemory& phys) {
+  for (int d = 0; d < phys.domain_count(); ++d) {
+    if (phys.domain(static_cast<hw::DomainId>(d)).has_fault_hook()) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 MpiWorld::MpiWorld(Job& job, std::uint64_t noise_seed)
@@ -71,6 +80,7 @@ void MpiWorld::set_fast_paths(bool on) {
   coll_cache_.clear();
   msg_cache_.clear();
   heap_memo_.clear();
+  heap_classes_.clear();
 }
 
 void MpiWorld::mpi_init(sim::Bytes shm_segment_bytes) {
@@ -176,16 +186,28 @@ void MpiWorld::alloc_churn(std::uint64_t pairs_per_rank, sim::Bytes obj_bytes) {
 }
 
 const MpiWorld::HeapCycleMemo* MpiWorld::find_heap_memo(
-    std::span<const std::int64_t> deltas, std::uint64_t fp0,
-    std::uint64_t phys_fp, int faulters) const {
-  for (const HeapCycleMemo& m : heap_memo_) {
-    if (m.fp0 == fp0 && m.phys_fp == phys_fp && m.faulters == faulters &&
-        m.deltas.size() == deltas.size() &&
+    std::span<const HeapCycleMemo> table, std::span<const std::int64_t> deltas,
+    std::uint64_t heap_fp, int quadrant, std::uint64_t phys_fp, int faulters) {
+  for (const HeapCycleMemo& m : table) {
+    if (m.heap_fp == heap_fp && m.quadrant == quadrant && m.phys_fp == phys_fp &&
+        m.faulters == faulters && m.deltas.size() == deltas.size() &&
         std::equal(m.deltas.begin(), m.deltas.end(), deltas.begin())) {
       return &m;
     }
   }
   return nullptr;
+}
+
+sim::TimeNs MpiWorld::simulate_heap_lane(int lane, std::span<const std::int64_t> deltas,
+                                         int faulters) {
+  kernel::Kernel& k = job_.kernel();
+  kernel::Process& p = job_.lane(lane);
+  sim::TimeNs cost{0};
+  for (const std::int64_t d : deltas) {
+    cost += k.sys_brk(p, d).cost;
+    if (d > 0) cost += k.heap_touch(p, faulters);
+  }
+  return cost;
 }
 
 void MpiWorld::heap_cycle(std::span<const std::int64_t> deltas) {
@@ -220,14 +242,16 @@ void MpiWorld::heap_cycle(std::span<const std::int64_t> deltas) {
   // the engine/kernel counters advance exactly as the simulate-one /
   // replay-rest path below would have.
   if (symmetric) {
-    if (const HeapCycleMemo* m = find_heap_memo(deltas, fp0, phys_before, faulters)) {
+    if (const HeapCycleMemo* m = find_heap_memo(heap_memo_, deltas, fp0,
+                                                HeapCycleMemo::kAllLanes, phys_before,
+                                                faulters)) {
       for (int i = 0; i < lanes; ++i) {
         lanes_.heaps[static_cast<std::size_t>(i)]->apply_replay_delta(m->delta);
       }
       // The replayed cost is uniform across lanes, and a uniform increment
       // commutes with synchronize()'s max reduction — so it accumulates in
       // pending_uniform_ instead of touching every per-lane slot.
-      pending_uniform_ += m->cost0;
+      pending_uniform_ += m->cost;
       k.note_replayed_local_calls(static_cast<std::uint64_t>(deltas.size()) *
                                   static_cast<std::uint64_t>(lanes));
       ++engine_.heap_slow_lanes;
@@ -237,67 +261,98 @@ void MpiWorld::heap_cycle(std::span<const std::int64_t> deltas) {
     }
   }
 
-  const mem::HeapStats stats_before = lanes_.heaps[0]->stats();
+  int first = 0;  // first lane the divergent walk below still has to price
+  if (symmetric) {
+    // Simulate lane 0 as the representative.
+    const mem::HeapStats stats_before = lanes_.heaps[0]->stats();
+    const sim::TimeNs cost0 = simulate_heap_lane(0, deltas, faulters);
+    ++engine_.heap_slow_lanes;
 
-  // Simulate lane 0 — representative if symmetric, first of the loop if not.
-  // Its cost lands in pending_uniform_ (replay path, where every lane pays
-  // it) or its own lane slot (divergent path) once we know which applies.
-  sim::TimeNs cost0{0};
-  {
-    kernel::Process& p = job_.lane(0);
-    for (const std::int64_t d : deltas) {
-      const auto r = k.sys_brk(p, d);
-      cost0 += r.cost;
-      if (d > 0) cost0 += k.heap_touch(p, faulters);
+    // Replay is exact only if the cycle was state-neutral: the
+    // representative's heap returned to its pre-cycle fingerprint AND the
+    // shared physical allocator is back where it started. Then every
+    // remaining lane starts from the same heap scalars, moves the same byte
+    // counts through per-byte costs that never depend on which domain
+    // supplies the pages, and — when the cycle did engage the allocator —
+    // returns everything it drew, so the restored free maps serve every
+    // lane the same total. The replicated cost and counter deltas are
+    // therefore exact, not approximate.
+    if (lanes_.heaps[0]->state_fingerprint() == fp0 &&
+        phys_fingerprint(k.phys()) == phys_before) {
+      HeapCycleMemo m;
+      m.delta = mem::HeapEngine::replay_delta(stats_before, lanes_.heaps[0]->stats());
+      for (int i = 1; i < lanes; ++i) {
+        lanes_.heaps[static_cast<std::size_t>(i)]->apply_replay_delta(m.delta);
+      }
+      pending_uniform_ += cost0;  // uniform across all lanes, lane 0 included
+      k.note_replayed_local_calls(static_cast<std::uint64_t>(deltas.size()) *
+                                  static_cast<std::uint64_t>(lanes - 1));
+      engine_.heap_fast_lanes += static_cast<std::uint64_t>(lanes - 1);
+      ++engine_.heap_memo_misses;
+      if (heap_memo_.size() < kHeapMemoCap) {
+        m.deltas.assign(deltas.begin(), deltas.end());
+        m.heap_fp = fp0;
+        m.phys_fp = phys_before;
+        m.faulters = faulters;
+        m.cost = cost0;
+        heap_memo_.push_back(std::move(m));
+      }
+      return;
     }
+    lanes_.pending_ns[0] += cost0.ns();
+    first = 1;
   }
-  ++engine_.heap_slow_lanes;
 
-  // Replay is exact only if the cycle was state-neutral: the representative's
-  // heap returned to its pre-cycle fingerprint AND the shared physical
-  // allocator is back where it started. Then every remaining lane starts
-  // from the same heap scalars, moves the same byte counts through per-byte
-  // costs that never depend on which domain supplies the pages, and — when
-  // the cycle did engage the allocator — returns everything it drew, so the
-  // restored free maps serve every lane the same total. The replicated cost
-  // and counter deltas are therefore exact, not approximate.
-  const mem::HeapStats& stats_after = lanes_.heaps[0]->stats();
-  if (symmetric && lanes_.heaps[0]->state_fingerprint() == fp0 &&
-      phys_fingerprint(k.phys()) == phys_before) {
-    const mem::HeapStats delta = mem::HeapEngine::replay_delta(stats_before, stats_after);
-    for (int i = 1; i < lanes; ++i) {
-      lanes_.heaps[static_cast<std::size_t>(i)]->apply_replay_delta(delta);
+  // Divergent cycle: walk the remaining lanes in index order. A lane whose
+  // key — deltas, heap fingerprint, home quadrant, phys fingerprint at lane
+  // start, faulters — matches an entry recorded from an earlier
+  // state-neutral lane, in this cycle or a previous one, replays that
+  // entry; any other lane is simulated and, if its cycle left both its heap
+  // and the allocator unchanged, recorded. The quadrant is in the key
+  // because fault and zeroing costs round per extent, and lanes homed on
+  // different quadrants draw different extents. The phys fingerprint is
+  // re-read after every simulated lane, so an entry never serves a lane
+  // that starts from an allocator state it was not recorded from. An armed
+  // fault hook may draw randomness on every allocation a replayed lane
+  // would skip, so hooked nodes simulate every lane.
+  lane_pending_dirty_ = true;
+  engine_.heap_slow_lanes += static_cast<std::uint64_t>(lanes - first);
+  const bool replay = fast_paths_ && !phys_hooked(k.phys());
+  std::uint64_t phys_fp = replay ? phys_fingerprint(k.phys()) : 0;
+  for (int i = first; i < lanes; ++i) {
+    mem::HeapEngine& heap = *lanes_.heaps[static_cast<std::size_t>(i)];
+    std::int64_t& pending = lanes_.pending_ns[static_cast<std::size_t>(i)];
+    if (!replay) {
+      pending += simulate_heap_lane(i, deltas, faulters).ns();
+      continue;
     }
-    pending_uniform_ += cost0;  // uniform across all lanes, lane 0 included
-    k.note_replayed_local_calls(static_cast<std::uint64_t>(deltas.size()) *
-                                static_cast<std::uint64_t>(lanes - 1));
-    engine_.heap_fast_lanes += static_cast<std::uint64_t>(lanes - 1);
-    ++engine_.heap_memo_misses;
-    if (heap_memo_.size() < kHeapMemoCap) {
+    const std::uint64_t heap_fp = heap.state_fingerprint();
+    const int quadrant = job_.lane(i).home_quadrant();
+    if (const HeapCycleMemo* m =
+            find_heap_memo(heap_classes_, deltas, heap_fp, quadrant, phys_fp, faulters)) {
+      heap.apply_replay_delta(m->delta);
+      pending += m->cost.ns();
+      k.note_replayed_local_calls(static_cast<std::uint64_t>(deltas.size()));
+      ++engine_.heap_class_replays;
+      continue;
+    }
+    const mem::HeapStats before = heap.stats();
+    const sim::TimeNs cost = simulate_heap_lane(i, deltas, faulters);
+    pending += cost.ns();
+    const std::uint64_t phys_after = phys_fingerprint(k.phys());
+    if (heap.state_fingerprint() == heap_fp && phys_after == phys_fp &&
+        heap_classes_.size() < kHeapClassCap) {
       HeapCycleMemo m;
       m.deltas.assign(deltas.begin(), deltas.end());
-      m.fp0 = fp0;
-      m.phys_fp = phys_before;
+      m.heap_fp = heap_fp;
+      m.quadrant = quadrant;
+      m.phys_fp = phys_fp;
       m.faulters = faulters;
-      m.cost0 = cost0;
-      m.delta = delta;
-      heap_memo_.push_back(std::move(m));
+      m.cost = cost;
+      m.delta = mem::HeapEngine::replay_delta(before, heap.stats());
+      heap_classes_.push_back(std::move(m));
     }
-    return;
-  }
-
-  lanes_.pending_ns[0] += cost0.ns();
-  lane_pending_dirty_ = true;
-  engine_.heap_slow_lanes += static_cast<std::uint64_t>(lanes - 1);
-  for (int i = 1; i < lanes; ++i) {
-    kernel::Process& p = job_.lane(i);
-    sim::TimeNs cost{0};
-    for (const std::int64_t d : deltas) {
-      const auto r = k.sys_brk(p, d);
-      cost += r.cost;
-      if (d > 0) cost += k.heap_touch(p, faulters);
-    }
-    lanes_.pending_ns[static_cast<std::size_t>(i)] += cost.ns();
+    phys_fp = phys_after;
   }
 }
 

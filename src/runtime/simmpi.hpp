@@ -137,8 +137,12 @@ class MKOS_THREAD_CONFINED("one campaign cell task") MpiWorld {
   /// functions of the inputs (no wall-clock, no allocator addresses), so
   /// they live in the deterministic block of the run ledger.
   struct EngineCounters {
-    std::uint64_t heap_fast_lanes = 0;    ///< lanes satisfied by cycle replay
-    std::uint64_t heap_slow_lanes = 0;    ///< lanes simulated call-by-call
+    // The two heap counters follow the all-lanes rule: a cycle every lane
+    // shares (simulated once or replayed whole from the memo) counts one
+    // slow lane and lanes - 1 fast ones; a divergent cycle counts every lane
+    // slow, including lanes its class replay never simulates.
+    std::uint64_t heap_fast_lanes = 0;    ///< lanes served by a symmetric cycle
+    std::uint64_t heap_slow_lanes = 0;    ///< representatives + divergent lanes
     std::uint64_t compute_uniform_fast = 0;  ///< compute ops folded to uniform
     std::uint64_t compute_lane_loops = 0;    ///< compute ops walked per lane
     std::uint64_t coll_cache_hits = 0;    ///< collective base-cost cache hits
@@ -152,6 +156,7 @@ class MKOS_THREAD_CONFINED("one campaign cell task") MpiWorld {
     std::uint64_t msg_cache_probes = 0;
     std::uint64_t heap_memo_hits = 0;     ///< whole brk cycles replayed from memo
     std::uint64_t heap_memo_misses = 0;   ///< symmetric cycles simulated + recorded
+    std::uint64_t heap_class_replays = 0; ///< divergent lanes replayed per class
   };
   [[nodiscard]] const EngineCounters& engine_counters() const { return engine_; }
   /// Analytic-vs-exact draw tallies of the noise samplers for this world.
@@ -274,23 +279,35 @@ class MKOS_THREAD_CONFINED("one campaign cell task") MpiWorld {
   CollectiveModel coll_cache_model_;  ///< model the cache was built against
   CostTable<sim::TimeNs> msg_cache_;
 
-  /// Whole-cycle memo for heap_cycle (DESIGN.md §13): a symmetric cycle that
-  /// proved state-neutral from fingerprint state (fp0, phys) replays its
-  /// recorded cost and counter deltas for every lane — including the former
+  /// One state-neutral brk cycle, recorded for replay (DESIGN.md §11, §13).
+  /// heap_memo_ holds whole-cycle entries: a symmetric cycle replays its
+  /// cost and counter deltas for every lane — including the former
   /// representative — the next time the same deltas hit the same state.
+  /// heap_classes_ holds per-lane entries of divergent cycles: a lane whose
+  /// key matches an earlier lane's entry replays it instead of being
+  /// simulated. The key is the first five fields.
   struct HeapCycleMemo {
+    static constexpr int kAllLanes = -1;  ///< quadrant of a whole-cycle entry
+
     std::vector<std::int64_t> deltas;
-    std::uint64_t fp0 = 0;
-    std::uint64_t phys_fp = 0;
+    std::uint64_t heap_fp = 0;  ///< heap state fingerprint at cycle start
+    int quadrant = kAllLanes;   ///< home quadrant of the recorded lane
+    std::uint64_t phys_fp = 0;  ///< physical-allocator fingerprint at start
     int faulters = 0;
-    sim::TimeNs cost0{0};
-    mem::HeapStats delta;  ///< monotone-counter delta, applied to every lane
+    sim::TimeNs cost{0};   ///< one lane's cycle cost
+    mem::HeapStats delta;  ///< monotone-counter delta, applied per lane
   };
   static constexpr std::size_t kHeapMemoCap = 16;
   std::vector<HeapCycleMemo> heap_memo_;
-  [[nodiscard]] const HeapCycleMemo* find_heap_memo(
-      std::span<const std::int64_t> deltas, std::uint64_t fp0,
-      std::uint64_t phys_fp, int faulters) const;
+  /// A Lulesh2.0 or AMG2013 world records 5-7 class entries.
+  static constexpr std::size_t kHeapClassCap = 64;
+  std::vector<HeapCycleMemo> heap_classes_;
+  [[nodiscard]] static const HeapCycleMemo* find_heap_memo(
+      std::span<const HeapCycleMemo> table, std::span<const std::int64_t> deltas,
+      std::uint64_t heap_fp, int quadrant, std::uint64_t phys_fp, int faulters);
+  /// Run one lane's brk/touch sequence call by call; returns its cost.
+  [[nodiscard]] sim::TimeNs simulate_heap_lane(int lane, std::span<const std::int64_t> deltas,
+                                               int faulters);
 
   sim::TimeNs clock_{0};
   sim::TimeNs pending_uniform_{0};

@@ -30,9 +30,13 @@ std::vector<std::string> registry_names() {
 double app_cost_weight(std::string_view name) {
   // Measured: median per-cell simulation wall per rep (bench/sweep_sched
   // calibration grid, all configs × {16..512} nodes), normalized to MiniFE.
-  // The analytic engine makes most cells near-flat; the one genuine heavy
-  // hitter is Lulesh 2.0, whose brk-churn trace replays at full length on
-  // the Linux config. The exact numbers only steer deque placement.
+  // The analytic engine makes most cells near-flat. Lulesh 2.0 on the Linux
+  // config is the heaviest cell: its brk churn leaves lanes in a few heap
+  // states, and heap_cycle replays those per class. That reads about 2–3x
+  // MiniFE (1.4–3.5 ms vs 0.5–1.2 ms per 2-rep cell on a 4-core Xeon); the
+  // weight of 30 predates the class replay, when every lane was simulated.
+  // It stays: the numbers only steer LPT deque placement, and Lulesh cells
+  // are still the costliest either way.
   if (name == "AMG2013") return 0.8;
   if (name == "CCS-QCD") return 0.4;
   if (name == "GeoFEM") return 0.8;

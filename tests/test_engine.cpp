@@ -1,7 +1,8 @@
 // Unit tests: the hot-path sampling engine — truncated-moment closed forms,
-// Gamma/normal batched sums, inverse-CDF maxima, the symmetric-lane heap
-// replay, cost caches, and the determinism contract that fast and slow
-// paths (and serial vs pooled execution) produce byte-identical results.
+// Gamma/normal batched sums, inverse-CDF maxima, the symmetric-lane and
+// per-class heap replay, cost caches, and the determinism contract that fast
+// and slow paths (and serial vs pooled execution) produce byte-identical
+// results.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "core/obs_glue.hpp"
 #include "kernel/noise.hpp"
 #include "runtime/simmpi.hpp"
+#include "workloads/app.hpp"
 
 namespace {
 
@@ -266,35 +268,99 @@ sim::TimeNs run_script(MpiWorld& world) {
   return world.finish();
 }
 
+/// Asymmetric lanes: even lanes start with a fully faulted heap, odd lanes
+/// with an untouched tail on top, all bound to one MCDRAM domain that is
+/// then drained to a little more than one grow of free room. The cycle is
+/// state-neutral for the even class, but an odd lane faults its tail in and
+/// keeps it, shrinking the room every even lane after it faults from. A
+/// class entry recorded before an odd lane would misprice those lanes.
+/// `deny` then arms a denial hook on the domain, as ResilienceManager's
+/// MCDRAM faults do: it draws randomness on every allocation, so a lane
+/// replayed instead of simulated would shift every later denial.
+sim::TimeNs asymmetric_script(MpiWorld& world, bool deny) {
+  world.mpi_init();
+  Job& job = world.job();
+  kernel::Kernel& k = job.kernel();
+  const hw::DomainId mcdram = job.node().topo().domains_of_kind(hw::MemKind::kMcdram).front();
+  const std::int64_t base = 16 * static_cast<std::int64_t>(MiB);
+  const std::int64_t tail = 4 * static_cast<std::int64_t>(MiB);
+  const std::int64_t grow = 8 * static_cast<std::int64_t>(MiB);
+  const auto add_tails = [&] {
+    for (int i = 1; i < job.lane_count(); i += 2) (void)k.sys_brk(job.lane(i), tail);
+  };
+  for (int i = 0; i < job.lane_count(); ++i) {
+    kernel::Process& p = job.lane(i);
+    (void)k.sys_set_mempolicy(p, mem::MemPolicy::bind({mcdram}));
+    (void)k.sys_brk(p, base);
+    (void)k.heap_touch(p, 1);
+  }
+  add_tails();
+  const std::vector<std::int64_t> cycle{grow, 0, -grow};
+  // Warm-up with ample room: every lane reaches its high-water mark and
+  // the odd lanes fault their first tail in.
+  world.heap_cycle(cycle);
+  add_tails();
+  mem::DomainAllocator& dom = k.phys().domain(mcdram);
+  (void)dom.alloc_best_effort(dom.free_bytes() - static_cast<sim::Bytes>(grow + tail / 2),
+                              4 * sim::KiB);
+  if (deny) {
+    dom.set_fault_hook([rng = sim::Rng{99}](sim::Bytes) mutable {
+      return rng.next_double() < 0.5;
+    });
+  }
+  for (int step = 0; step < 4; ++step) {
+    world.heap_cycle(cycle);
+    world.compute_bytes(32 * MiB);
+    world.allreduce(64 * sim::KiB);
+    world.halo_exchange(256 * sim::KiB, 6);
+  }
+  world.barrier();
+  return world.finish();
+}
+
+sim::TimeNs run_asymmetric_script(MpiWorld& world) { return asymmetric_script(world, false); }
+sim::TimeNs run_denying_asymmetric_script(MpiWorld& world) {
+  return asymmetric_script(world, true);
+}
+
 struct WorldOutcome {
   sim::TimeNs clock;
   MpiWorld::PhaseBreakdown breakdown;
   std::vector<mem::HeapStats> heap;
   MpiWorld::EngineCounters engine;
+  std::uint64_t local_calls = 0;
 };
 
-WorldOutcome outcome_for(kernel::OsKind os, bool fast_paths) {
-  const Machine m = SystemConfig::for_os(os).machine(4);
-  Job job{m, JobSpec{4, 8, 1}, 1};
-  MpiWorld world{job, 1234};
-  world.set_fast_paths(fast_paths);
+WorldOutcome outcome_of(Job& job, const MpiWorld& world, sim::TimeNs clock) {
   WorldOutcome out;
-  out.clock = run_script(world);
+  out.clock = clock;
   out.breakdown = world.breakdown();
   for (int i = 0; i < job.lane_count(); ++i) out.heap.push_back(job.lane(i).heap()->stats());
   out.engine = world.engine_counters();
+  out.local_calls = job.kernel().local_call_count();
   return out;
 }
 
-void expect_equivalent(kernel::OsKind os) {
-  const WorldOutcome fast = outcome_for(os, true);
-  const WorldOutcome slow = outcome_for(os, false);
+using Script = sim::TimeNs (*)(MpiWorld&);
 
-  // Bit-identical outputs: global clock, phase split, per-lane heap stats.
+WorldOutcome outcome_for(kernel::OsKind os, bool fast_paths, Script script) {
+  const Machine m = SystemConfig::for_os(os).machine(4);
+  // 16 ranks: block binding puts four consecutive lanes on each quadrant.
+  Job job{m, JobSpec{4, 16, 1}, 1};
+  MpiWorld world{job, 1234};
+  world.set_fast_paths(fast_paths);
+  const sim::TimeNs clock = script(world);
+  return outcome_of(job, world, clock);
+}
+
+/// Bit-identical outputs: global clock, phase split, per-lane heap stats
+/// and the kernel's call count.
+void expect_same_outputs(const WorldOutcome& fast, const WorldOutcome& slow) {
   EXPECT_EQ(fast.clock.ns(), slow.clock.ns());
   EXPECT_EQ(fast.breakdown.compute.ns(), slow.breakdown.compute.ns());
   EXPECT_EQ(fast.breakdown.noise.ns(), slow.breakdown.noise.ns());
   EXPECT_EQ(fast.breakdown.comm.ns(), slow.breakdown.comm.ns());
+  EXPECT_EQ(fast.local_calls, slow.local_calls);
   ASSERT_EQ(fast.heap.size(), slow.heap.size());
   for (std::size_t i = 0; i < fast.heap.size(); ++i) {
     EXPECT_EQ(fast.heap[i].queries, slow.heap[i].queries) << "lane " << i;
@@ -306,26 +372,87 @@ void expect_equivalent(kernel::OsKind os) {
     EXPECT_EQ(fast.heap[i].faults, slow.heap[i].faults) << "lane " << i;
     EXPECT_EQ(fast.heap[i].zeroed, slow.heap[i].zeroed) << "lane " << i;
   }
+  // The slow world never took a fast path; both count every lane of every
+  // cycle once, as a replayed or simulated lane.
+  EXPECT_EQ(slow.engine.heap_fast_lanes, 0u);
+  EXPECT_EQ(slow.engine.heap_class_replays, 0u);
+  EXPECT_EQ(fast.engine.heap_fast_lanes + fast.engine.heap_slow_lanes,
+            slow.engine.heap_slow_lanes);
+}
 
-  // The fast world actually took the fast paths; the slow one never did.
+/// Runs `script` with fast paths on and off, checks the outputs match, and
+/// returns the fast world's outcome for per-script path assertions.
+WorldOutcome expect_equivalent(kernel::OsKind os, Script script) {
+  const WorldOutcome fast = outcome_for(os, true, script);
+  const WorldOutcome slow = outcome_for(os, false, script);
+  expect_same_outputs(fast, slow);
+  EXPECT_EQ(slow.engine.compute_uniform_fast, 0u);
+  EXPECT_EQ(slow.engine.coll_cache_hits, 0u);
+  EXPECT_EQ(slow.engine.msg_cache_hits, 0u);
+  return fast;
+}
+
+/// The fast world of run_script took every fast path it covers.
+void expect_took_fast_paths(const WorldOutcome& fast) {
   EXPECT_GT(fast.engine.heap_fast_lanes, 0u);
   EXPECT_GT(fast.engine.compute_uniform_fast, 0u);
   EXPECT_GT(fast.engine.coll_cache_hits, 0u);
   EXPECT_GT(fast.engine.msg_cache_hits, 0u);
-  EXPECT_EQ(slow.engine.heap_fast_lanes, 0u);
-  EXPECT_EQ(slow.engine.compute_uniform_fast, 0u);
-  EXPECT_EQ(slow.engine.coll_cache_hits, 0u);
-  EXPECT_EQ(slow.engine.msg_cache_hits, 0u);
-  // The state-changing cycle fell back to per-lane simulation on both.
+  // The state-changing cycle fell back to per-lane simulation.
   EXPECT_GT(fast.engine.heap_slow_lanes, 0u);
 }
 
 TEST(FastPaths, LinuxWorldBitIdenticalToSlowPaths) {
-  expect_equivalent(kernel::OsKind::kLinux);
+  expect_took_fast_paths(expect_equivalent(kernel::OsKind::kLinux, run_script));
 }
 
 TEST(FastPaths, McKernelWorldBitIdenticalToSlowPaths) {
-  expect_equivalent(kernel::OsKind::kMcKernel);
+  expect_took_fast_paths(expect_equivalent(kernel::OsKind::kMcKernel, run_script));
+}
+
+TEST(FastPaths, AsymmetricLanesBitIdenticalToSlowPaths) {
+  const WorldOutcome fast = expect_equivalent(kernel::OsKind::kLinux, run_asymmetric_script);
+  // No cycle is symmetric; the even lanes' neutral cycles replay per class.
+  EXPECT_EQ(fast.engine.heap_fast_lanes, 0u);
+  EXPECT_GT(fast.engine.heap_class_replays, 0u);
+
+  // With a fault hook armed, every divergent lane is simulated.
+  const WorldOutcome hooked =
+      expect_equivalent(kernel::OsKind::kLinux, run_denying_asymmetric_script);
+  EXPECT_EQ(hooked.engine.heap_class_replays, 0u);
+}
+
+/// One repetition of a real app: setup, then run, as core::run_app does.
+WorldOutcome app_outcome(std::string_view app_name, kernel::OsKind os, int nodes,
+                         bool fast_paths) {
+  const std::unique_ptr<workloads::App> app = workloads::make_app(app_name);
+  const Machine m = SystemConfig::for_os(os).machine(nodes);
+  Job job{m, app->spec(nodes), 17};
+  app->setup(job);
+  MpiWorld world{job, 4321};
+  world.set_fast_paths(fast_paths);
+  const sim::TimeNs clock = app->run(job, world).elapsed;
+  return outcome_of(job, world, clock);
+}
+
+TEST(FastPaths, DivergentAppsBitIdenticalToSlowPaths) {
+  // Lulesh's brk churn and AMG's hypre cycles leave lanes in a few heap
+  // states once MCDRAM fills, so their cycles take the divergent path.
+  for (const std::string_view app : {"Lulesh2.0", "AMG2013"}) {
+    for (const kernel::OsKind os :
+         {kernel::OsKind::kLinux, kernel::OsKind::kMcKernel, kernel::OsKind::kMos}) {
+      for (const int nodes : {1, 64}) {
+        SCOPED_TRACE(std::string(app) + " " + SystemConfig::for_os(os).label() + " n=" +
+                     std::to_string(nodes));
+        const WorldOutcome fast = app_outcome(app, os, nodes, true);
+        const WorldOutcome slow = app_outcome(app, os, nodes, false);
+        expect_same_outputs(fast, slow);
+        if (app == "Lulesh2.0") {
+          EXPECT_GT(fast.engine.heap_class_replays, 0u);
+        }
+      }
+    }
+  }
 }
 
 TEST(FastPaths, FreshWorldBandwidthSentinelNeverLeaks) {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "compat/ltp.hpp"
 #include "core/config.hpp"
 #include "hw/knl.hpp"
@@ -76,10 +79,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AllocatorProperty,
 
 // -------------------------------------------------------- heap invariants
 
+// gtest names each case by the raw bytes of its parameter, so HeapCase must
+// have no padding: a bool here left seven uninitialised bytes (a stray heap
+// address under ASLR) in the names, which then changed from run to run.
 struct HeapCase {
-  bool hpc;
+  std::uint64_t hpc;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<HeapCase>);
 
 class HeapProperty : public ::testing::TestWithParam<HeapCase> {};
 
