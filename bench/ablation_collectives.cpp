@@ -10,10 +10,10 @@
 
 #include "core/config.hpp"
 #include "core/obs_glue.hpp"
-#include "core/report.hpp"
 #include "obs/snapshots.hpp"
 #include "runtime/collectives.hpp"
 #include "runtime/simmpi.hpp"
+#include "sim/format.hpp"
 
 namespace {
 
@@ -40,8 +40,8 @@ double allreduce_us(kernel::OsKind os, int nodes, sim::Bytes bytes, AllreduceAlg
 }  // namespace
 
 int main() {
-  core::print_banner("Ablation — allreduce algorithms x OS noise",
-                     "collective synchronization is the noise coupling point");
+  sim::print_banner("Ablation — allreduce algorithms x OS noise",
+                    "collective synchronization is the noise coupling point");
 
   obs::RunLedger ledger = core::bench_ledger(
       "ablation_collectives", "MiniFE Fig. 5b mechanism: stage-count x noise", 99);
@@ -51,14 +51,14 @@ int main() {
                                  AllreduceAlgo::kReduceBroadcast};
 
   for (const sim::Bytes bytes : {sim::Bytes{8}, sim::Bytes{4} * sim::MiB}) {
-    core::Table t{{std::string("payload ") + sim::bytes_to_string(bytes),
-                   "McKernel 64n us", "McKernel 1024n us", "Linux 1024n us"}};
+    sim::Table t{{std::string("payload ") + sim::bytes_to_string(bytes),
+                  "McKernel 64n us", "McKernel 1024n us", "Linux 1024n us"}};
     for (const auto algo : algos) {
       t.add_row(
           {std::string(to_string(algo)),
-           core::fmt(allreduce_us(kernel::OsKind::kMcKernel, 64, bytes, algo, ledger), 1),
-           core::fmt(allreduce_us(kernel::OsKind::kMcKernel, 1024, bytes, algo, ledger), 1),
-           core::fmt(allreduce_us(kernel::OsKind::kLinux, 1024, bytes, algo, ledger), 1)});
+           sim::fmt(allreduce_us(kernel::OsKind::kMcKernel, 64, bytes, algo, ledger), 1),
+           sim::fmt(allreduce_us(kernel::OsKind::kMcKernel, 1024, bytes, algo, ledger), 1),
+           sim::fmt(allreduce_us(kernel::OsKind::kLinux, 1024, bytes, algo, ledger), 1)});
     }
     std::printf("%s\n", t.to_string().c_str());
   }

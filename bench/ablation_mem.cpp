@@ -8,7 +8,7 @@
 
 #include "core/experiment.hpp"
 #include "core/obs_glue.hpp"
-#include "core/report.hpp"
+#include "sim/format.hpp"
 
 namespace {
 
@@ -28,8 +28,8 @@ int main() {
   using namespace mkos;
   using core::SystemConfig;
 
-  core::print_banner("Ablation — memory management design choices (D1/D3/D6)",
-                     "DESIGN.md Section 6");
+  sim::print_banner("Ablation — memory management design choices (D1/D3/D6)",
+                    "DESIGN.md Section 6");
 
   obs::RunLedger ledger =
       core::bench_ledger("ablation_mem", "DESIGN.md Section 6 (D1/D3/D6)", 51);
@@ -52,12 +52,12 @@ int main() {
     mck_full.lwk_prefer_mcdram = false;
     const double lwk_full =
         run_cell(ledger, "d1.mckernel_hpc_brk", *app, mck_full, 27, 3, 51);
-    core::Table t{{"D1: Lulesh @27 nodes (DDR4)", "zones/s", "vs Linux"}};
-    t.add_row({"Linux (demand paging)", core::fmt(lin, 0), "100.0%"});
-    t.add_row({"McKernel, demand-paged heap", core::fmt(lwk_demand, 0),
-               core::fmt_pct(lwk_demand / lin)});
-    t.add_row({"McKernel, HPC brk()", core::fmt(lwk_full, 0),
-               core::fmt_pct(lwk_full / lin)});
+    sim::Table t{{"D1: Lulesh @27 nodes (DDR4)", "zones/s", "vs Linux"}};
+    t.add_row({"Linux (demand paging)", sim::fmt(lin, 0), "100.0%"});
+    t.add_row({"McKernel, demand-paged heap", sim::fmt(lwk_demand, 0),
+               sim::fmt_pct(lwk_demand / lin)});
+    t.add_row({"McKernel, HPC brk()", sim::fmt(lwk_full, 0),
+               sim::fmt_pct(lwk_full / lin)});
     std::printf("%s\n", t.to_string().c_str());
   }
 
@@ -71,12 +71,12 @@ int main() {
     const double quad = run_cell(ledger, "d3.linux_quadrant", *app, quad_linux, 8, 3, 52);
     const double mck = run_cell(ledger, "d3.mckernel_snc4", *app,
                                 SystemConfig::mckernel(), 8, 3, 52);
-    core::Table t{{"D3: CCS-QCD @8 nodes", "Mflops/s/node", "vs Linux SNC-4"}};
-    t.add_row({"Linux SNC-4 (DDR4 only)", core::fmt_sci(snc4_linux), "100.0%"});
-    t.add_row({"Linux quadrant (numactl -p works)", core::fmt_sci(quad),
-               core::fmt_pct(quad / snc4_linux)});
-    t.add_row({"McKernel SNC-4 (transparent spill)", core::fmt_sci(mck),
-               core::fmt_pct(mck / snc4_linux)});
+    sim::Table t{{"D3: CCS-QCD @8 nodes", "Mflops/s/node", "vs Linux SNC-4"}};
+    t.add_row({"Linux SNC-4 (DDR4 only)", sim::fmt_sci(snc4_linux), "100.0%"});
+    t.add_row({"Linux quadrant (numactl -p works)", sim::fmt_sci(quad),
+               sim::fmt_pct(quad / snc4_linux)});
+    t.add_row({"McKernel SNC-4 (transparent spill)", sim::fmt_sci(mck),
+               sim::fmt_pct(mck / snc4_linux)});
     std::printf("%s\n", t.to_string().c_str());
   }
 
@@ -93,11 +93,11 @@ int main() {
     SystemConfig mos_no_quota = SystemConfig::mos();
     mos_no_quota.mos_partition_mcdram = false;
     const double mos_nq = run_cell(ledger, "d6.mos_no_quota", *app, mos_no_quota, 8, 3, 53);
-    core::Table t{{"D6: CCS-QCD @8 nodes", "Mflops/s/node", "vs McKernel"}};
-    t.add_row({"McKernel (demand fallback)", core::fmt_sci(mck), "100.0%"});
-    t.add_row({"McKernel, fallback off", core::fmt_sci(no_fb), core::fmt_pct(no_fb / mck)});
-    t.add_row({"mOS (per-rank MCDRAM quota)", core::fmt_sci(mos), core::fmt_pct(mos / mck)});
-    t.add_row({"mOS, quota off", core::fmt_sci(mos_nq), core::fmt_pct(mos_nq / mck)});
+    sim::Table t{{"D6: CCS-QCD @8 nodes", "Mflops/s/node", "vs McKernel"}};
+    t.add_row({"McKernel (demand fallback)", sim::fmt_sci(mck), "100.0%"});
+    t.add_row({"McKernel, fallback off", sim::fmt_sci(no_fb), sim::fmt_pct(no_fb / mck)});
+    t.add_row({"mOS (per-rank MCDRAM quota)", sim::fmt_sci(mos), sim::fmt_pct(mos / mck)});
+    t.add_row({"mOS, quota off", sim::fmt_sci(mos_nq), sim::fmt_pct(mos_nq / mck)});
     std::printf("%s\n", t.to_string().c_str());
   }
 

@@ -10,20 +10,20 @@
 
 #include "core/config.hpp"
 #include "core/obs_glue.hpp"
-#include "core/report.hpp"
 #include "obs/snapshots.hpp"
 #include "runtime/simmpi.hpp"
+#include "sim/format.hpp"
 #include "workloads/app.hpp"
 
 int main() {
   using namespace mkos;
   using core::SystemConfig;
 
-  core::print_banner("Section IV — Lulesh -s 30 brk() trace (932 timesteps)",
-                     "IPDPS'18; measured: 7,526 / 3,028 / 1,499 calls, 87 MB, 22 GB");
+  sim::print_banner("Section IV — Lulesh -s 30 brk() trace (932 timesteps)",
+                    "IPDPS'18; measured: 7,526 / 3,028 / 1,499 calls, 87 MB, 22 GB");
 
-  core::Table table{{"kernel", "queries", "grows", "shrinks", "total", "max heap",
-                     "cum. growth", "heap faults"}};
+  sim::Table table{{"kernel", "queries", "grows", "shrinks", "total", "max heap",
+                    "cum. growth", "heap faults"}};
 
   obs::RunLedger ledger =
       core::bench_ledger("brk_trace", "IPDPS'18 Section IV, Lulesh brk() trace", 3);

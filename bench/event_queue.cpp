@@ -26,11 +26,11 @@
 
 #include "core/config.hpp"
 #include "core/obs_glue.hpp"
-#include "core/report.hpp"
 #include "runtime/simmpi.hpp"
 #include "sim/contracts.hpp"
 #include "sim/env.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/format.hpp"
 #include "sim/rng.hpp"
 
 namespace {
@@ -238,8 +238,8 @@ int main() {
   const int events = sim::env_int("MKOS_EQ_EVENTS", 200000, 1000, 100000000);
   const int reps = sim::env_int("MKOS_EQ_REPS", 3, 1, 100);
 
-  core::print_banner("event_queue — pointer-heap vs flat event arena",
-                     "event-arena acceptance microbenchmark (DESIGN.md §13)");
+  sim::print_banner("event_queue — pointer-heap vs flat event arena",
+                    "event-arena acceptance microbenchmark (DESIGN.md §13)");
 
   // Interleave the reps so host-side drift hits both engines alike; keep the
   // best (least-disturbed) wall time per side.
@@ -266,12 +266,12 @@ int main() {
   const double arena_rate = total_events / arena_wall;
   const double speedup = arena_rate / legacy_rate;
 
-  core::Table t{{"engine", "events/s", "executed", "cancelled", "peak pending"}};
-  t.add_row({"legacy pointer heap", core::fmt(legacy_rate, 0),
+  sim::Table t{{"engine", "events/s", "executed", "cancelled", "peak pending"}};
+  t.add_row({"legacy pointer heap", sim::fmt(legacy_rate, 0),
              std::to_string(legacy_drain.executed + legacy_churn.executed),
              std::to_string(legacy_churn.cancelled),
              std::to_string(legacy_drain.peak_pending)});
-  t.add_row({"flat event arena", core::fmt(arena_rate, 0),
+  t.add_row({"flat event arena", sim::fmt(arena_rate, 0),
              std::to_string(arena_drain.executed + arena_churn.executed),
              std::to_string(arena_churn.cancelled),
              std::to_string(arena_drain.peak_pending)});
@@ -309,9 +309,9 @@ int main() {
   ledger.incr("engine.cache.heap_memo_hits", cache.heap_memo_hits);
   ledger.incr("engine.cache.heap_memo_misses", cache.heap_memo_misses);
   // Host block: the wall-clock measurements themselves.
-  ledger.set_host("legacy_events_per_s", core::json_number(legacy_rate));
-  ledger.set_host("arena_events_per_s", core::json_number(arena_rate));
-  ledger.set_host("queue_speedup", core::json_number(speedup));
+  ledger.set_host("legacy_events_per_s", sim::json_number(legacy_rate));
+  ledger.set_host("arena_events_per_s", sim::json_number(arena_rate));
+  ledger.set_host("queue_speedup", sim::json_number(speedup));
   core::emit(ledger);
   return 0;
 }

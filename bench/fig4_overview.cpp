@@ -31,8 +31,8 @@
 
 #include "core/campaign.hpp"
 #include "core/obs_glue.hpp"
-#include "core/report.hpp"
 #include "sim/env.hpp"
+#include "sim/format.hpp"
 
 namespace {
 
@@ -112,8 +112,8 @@ int main() {
   const int reps = opts.reps;
   const int threads = sim::ThreadPool::default_threads();
 
-  core::print_banner("Fig. 4 — relative median performance vs Linux, 1..2048 nodes",
-                     "IPDPS'18 10.1109/IPDPS.2018.00022, Figure 4");
+  sim::print_banner("Fig. 4 — relative median performance vs Linux, 1..2048 nodes",
+                    "IPDPS'18 10.1109/IPDPS.2018.00022, Figure 4");
 
   sim::ThreadPool pool(threads);
   const auto store = core::CellStore::from_env();
@@ -140,10 +140,10 @@ int main() {
           core::relative_to(by_config.at("McKernel"), by_config.at("Linux"));
       const auto mos_rel = core::relative_to(by_config.at("mOS"), by_config.at("Linux"));
 
-      core::Table table{{app + " nodes", "McKernel/Linux", "mOS/Linux"}};
+      sim::Table table{{app + " nodes", "McKernel/Linux", "mOS/Linux"}};
       for (std::size_t i = 0; i < mck_rel.size(); ++i) {
-        table.add_row({std::to_string(mck_rel[i].nodes), core::fmt(mck_rel[i].ratio, 3),
-                       core::fmt(mos_rel[i].ratio, 3)});
+        table.add_row({std::to_string(mck_rel[i].nodes), sim::fmt(mck_rel[i].ratio, 3),
+                       sim::fmt(mos_rel[i].ratio, 3)});
       }
       std::printf("%s\n", table.to_string().c_str());
       all_rel.push_back(mck_rel);
@@ -152,8 +152,8 @@ int main() {
 
     h = core::headline(all_rel);
     std::printf("HEADLINE  median LWK/Linux ratio: %s   best: %s\n",
-                core::fmt_pct(h.median_ratio).c_str(),
-                core::fmt_pct(h.best_ratio).c_str());
+                sim::fmt_pct(h.median_ratio).c_str(),
+                sim::fmt_pct(h.best_ratio).c_str());
     std::printf("          paper: median +9%% (109%%), best ~280%% gain aside from the\n"
                 "          MiniFE outliers (6.47x / 7.01x at 1,024 nodes)\n\n");
   }
@@ -203,8 +203,8 @@ int main() {
     ledger.set_gauge("headline.best_ratio", h.best_ratio);
   }
   core::record_campaign(ledger, t, threads, store.get());
-  ledger.set_host("wall_s_serial", core::json_number(serial_s));
-  ledger.set_host("speedup", core::json_number(serial_s > 0.0 && parallel_s > 0.0
+  ledger.set_host("wall_s_serial", sim::json_number(serial_s));
+  ledger.set_host("speedup", sim::json_number(serial_s > 0.0 && parallel_s > 0.0
                                                    ? serial_s / parallel_s
                                                    : 0.0));
   core::emit(ledger);

@@ -11,14 +11,14 @@
 
 #include "core/experiment.hpp"
 #include "core/obs_glue.hpp"
-#include "core/report.hpp"
+#include "sim/format.hpp"
 
 int main() {
   using namespace mkos;
   using core::SystemConfig;
 
-  core::print_banner("Fig. 5b — MiniFE 660^3, Mflops, 16..1024 nodes",
-                     "IPDPS'18, Figure 5b; Linux collapses at 1,024 nodes");
+  sim::print_banner("Fig. 5b — MiniFE 660^3, Mflops, 16..1024 nodes",
+                    "IPDPS'18, Figure 5b; Linux collapses at 1,024 nodes");
 
   auto app = workloads::make_minife();
   constexpr int kReps = 5;
@@ -35,13 +35,13 @@ int main() {
   const auto mos =
       core::scaling_sweep(*app, SystemConfig::mos(), kReps, 11, kMaxNodes, &ledger);
 
-  core::Table table{{"nodes", "McKernel Mflops", "mOS Mflops", "Linux Mflops",
-                     "LWK/Linux"}};
+  sim::Table table{{"nodes", "McKernel Mflops", "mOS Mflops", "Linux Mflops",
+                    "LWK/Linux"}};
   for (std::size_t i = 0; i < lin.size(); ++i) {
     const double best_lwk = std::max(mck[i].median, mos[i].median);
-    table.add_row({std::to_string(lin[i].nodes), core::fmt_sci(mck[i].median),
-                   core::fmt_sci(mos[i].median), core::fmt_sci(lin[i].median),
-                   core::fmt(best_lwk / lin[i].median, 2)});
+    table.add_row({std::to_string(lin[i].nodes), sim::fmt_sci(mck[i].median),
+                   sim::fmt_sci(mos[i].median), sim::fmt_sci(lin[i].median),
+                   sim::fmt(best_lwk / lin[i].median, 2)});
   }
   std::printf("%s\n", table.to_string().c_str());
   std::printf("paper: at 1,024 nodes McKernel/Linux = 6.47, mOS/Linux = 7.01;\n"

@@ -11,14 +11,14 @@
 
 #include "core/experiment.hpp"
 #include "core/obs_glue.hpp"
-#include "core/report.hpp"
+#include "sim/format.hpp"
 
 int main() {
   using namespace mkos;
   using core::SystemConfig;
 
-  core::print_banner("Fig. 6a — Lulesh 2.0 (-s 50), zones/s, cubic node counts",
-                     "IPDPS'18, Figure 6a; Linux drop at 1,728 nodes");
+  sim::print_banner("Fig. 6a — Lulesh 2.0 (-s 50), zones/s, cubic node counts",
+                    "IPDPS'18, Figure 6a; Linux drop at 1,728 nodes");
 
   auto app = workloads::make_lulesh(50);
   constexpr int kReps = 5;
@@ -35,12 +35,12 @@ int main() {
   const auto mos =
       core::scaling_sweep(*app, SystemConfig::mos(), kReps, 13, kMaxNodes, &ledger);
 
-  core::Table table{{"nodes", "McKernel zones/s", "mOS zones/s", "Linux zones/s",
-                     "mOS/Linux"}};
+  sim::Table table{{"nodes", "McKernel zones/s", "mOS zones/s", "Linux zones/s",
+                    "mOS/Linux"}};
   for (std::size_t i = 0; i < lin.size(); ++i) {
-    table.add_row({std::to_string(lin[i].nodes), core::fmt_sci(mck[i].median),
-                   core::fmt_sci(mos[i].median), core::fmt_sci(lin[i].median),
-                   core::fmt(mos[i].median / lin[i].median, 2)});
+    table.add_row({std::to_string(lin[i].nodes), sim::fmt_sci(mck[i].median),
+                   sim::fmt_sci(mos[i].median), sim::fmt_sci(lin[i].median),
+                   sim::fmt(mos[i].median / lin[i].median, 2)});
   }
   std::printf("%s\n", table.to_string().c_str());
 

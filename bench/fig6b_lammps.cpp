@@ -12,14 +12,14 @@
 
 #include "core/experiment.hpp"
 #include "core/obs_glue.hpp"
-#include "core/report.hpp"
+#include "sim/format.hpp"
 
 int main() {
   using namespace mkos;
   using core::SystemConfig;
 
-  core::print_banner("Fig. 6b — LAMMPS lj.weak, timesteps/s, 16..2048 nodes",
-                     "IPDPS'18, Figure 6b; LWKs fall behind Linux at scale");
+  sim::print_banner("Fig. 6b — LAMMPS lj.weak, timesteps/s, 16..2048 nodes",
+                    "IPDPS'18, Figure 6b; LWKs fall behind Linux at scale");
 
   auto app = workloads::make_lammps();
   constexpr int kReps = 5;
@@ -36,12 +36,12 @@ int main() {
   const auto mos =
       core::scaling_sweep(*app, SystemConfig::mos(), kReps, 17, kMaxNodes, &ledger);
 
-  core::Table table{{"nodes", "McKernel steps/s", "mOS steps/s", "Linux steps/s",
-                     "McKernel/Linux"}};
+  sim::Table table{{"nodes", "McKernel steps/s", "mOS steps/s", "Linux steps/s",
+                    "McKernel/Linux"}};
   for (std::size_t i = 0; i < lin.size(); ++i) {
-    table.add_row({std::to_string(lin[i].nodes), core::fmt(mck[i].median, 1),
-                   core::fmt(mos[i].median, 1), core::fmt(lin[i].median, 1),
-                   core::fmt_pct(mck[i].median / lin[i].median)});
+    table.add_row({std::to_string(lin[i].nodes), sim::fmt(mck[i].median, 1),
+                   sim::fmt(mos[i].median, 1), sim::fmt(lin[i].median, 1),
+                   sim::fmt_pct(mck[i].median / lin[i].median)});
   }
   std::printf("%s\n", table.to_string().c_str());
 
@@ -55,7 +55,7 @@ int main() {
   const auto lin_b = core::run_app(*app, lin_bypass, 2048, kReps, 17);
   std::printf("kernel-bypass fabric @2048 nodes: McKernel/Linux = %s "
               "(regression gone)\n",
-              core::fmt_pct(mck_b.median() / lin_b.median()).c_str());
+              sim::fmt_pct(mck_b.median() / lin_b.median()).c_str());
 
   core::record_scaling(ledger, "lammps.linux", lin);
   core::record_scaling(ledger, "lammps.mckernel", mck);

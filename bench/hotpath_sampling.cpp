@@ -15,9 +15,9 @@
 #include <cstdio>
 
 #include "core/obs_glue.hpp"
-#include "core/report.hpp"
 #include "kernel/noise.hpp"
 #include "sim/env.hpp"
+#include "sim/format.hpp"
 
 namespace {
 
@@ -86,8 +86,8 @@ int main() {
   const sim::TimeNs span = sim::seconds(10.0);
   const kernel::NoiseModel model = kernel::noise_linux_co_tenant();
 
-  core::print_banner("hotpath_sampling — naive per-event vs analytic noise draws",
-                     "sampling-engine acceptance microbenchmark");
+  sim::print_banner("hotpath_sampling — naive per-event vs analytic noise draws",
+                    "sampling-engine acceptance microbenchmark");
 
   // ------------------------------------------------------------------- sums
   // Same workload both sides: `samples` windows of 10 s of co-tenant Linux
@@ -142,16 +142,16 @@ int main() {
   const double analytic_rate = static_cast<double>(samples) / analytic.wall_s;
   const double sum_speedup = analytic_rate / naive_rate;
 
-  core::Table sums{{"sampler", "samples/s", "events drawn", "mean stolen fraction"}};
-  sums.add_row({"naive per-event", core::fmt(naive_rate, 0), std::to_string(naive.events),
-                core::fmt(naive.mean_fraction, 6)});
-  sums.add_row({"analytic", core::fmt(analytic_rate, 0),
-                std::to_string(counters.exact_events), core::fmt(analytic.mean_fraction, 6)});
+  sim::Table sums{{"sampler", "samples/s", "events drawn", "mean stolen fraction"}};
+  sums.add_row({"naive per-event", sim::fmt(naive_rate, 0), std::to_string(naive.events),
+                sim::fmt(naive.mean_fraction, 6)});
+  sums.add_row({"analytic", sim::fmt(analytic_rate, 0),
+                std::to_string(counters.exact_events), sim::fmt(analytic.mean_fraction, 6)});
   std::printf("%s\n", sums.to_string().c_str());
   std::printf("sum speedup: %.1fx   (acceptance bar: >= 8x, ratcheted from 5x)\n",
               sum_speedup);
   std::printf("expected fraction (closed form): %s\n\n",
-              core::fmt(model.expected_fraction(), 6).c_str());
+              sim::fmt(model.expected_fraction(), 6).c_str());
 
   // ------------------------------------------------------------------ maxima
   // Max of n=4096 exponential housekeeping draws — the shape NoiseExtremes
@@ -207,10 +207,10 @@ int main() {
   ledger.set_gauge("max4096.naive_mean_ns", naive_max_mean);
   ledger.set_gauge("max4096.analytic_mean_ns", analytic_max_mean);
   // Host block: the wall-clock measurements themselves.
-  ledger.set_host("naive_samples_per_s", core::json_number(naive_rate));
-  ledger.set_host("analytic_samples_per_s", core::json_number(analytic_rate));
-  ledger.set_host("sum_speedup", core::json_number(sum_speedup));
-  ledger.set_host("max_speedup", core::json_number(max_speedup));
+  ledger.set_host("naive_samples_per_s", sim::json_number(naive_rate));
+  ledger.set_host("analytic_samples_per_s", sim::json_number(analytic_rate));
+  ledger.set_host("sum_speedup", sim::json_number(sum_speedup));
+  ledger.set_host("max_speedup", sim::json_number(max_speedup));
   core::emit(ledger);
   return 0;
 }

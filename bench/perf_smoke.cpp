@@ -16,8 +16,8 @@
 
 #include "core/campaign.hpp"
 #include "core/obs_glue.hpp"
-#include "core/report.hpp"
 #include "sim/env.hpp"
+#include "sim/format.hpp"
 
 namespace {
 
@@ -37,8 +37,8 @@ int main() {
   const int reps = sim::env_int("MKOS_SMOKE_REPS", 3, 1, 1000);
   const int threads = sim::ThreadPool::default_threads();
 
-  core::print_banner("perf_smoke — timed fig4-style campaign",
-                     "sampling-engine performance regression sensor");
+  sim::print_banner("perf_smoke — timed fig4-style campaign",
+                    "sampling-engine performance regression sensor");
 
   core::CampaignSpec spec;
   spec.apps = workloads::fig4_app_names();
@@ -72,9 +72,9 @@ int main() {
         cell.stats);
   }
   core::record_campaign(ledger, campaign.telemetry(), threads);
-  ledger.set_host("wall_s_campaign", core::json_number(wall_s));
+  ledger.set_host("wall_s_campaign", sim::json_number(wall_s));
   ledger.set_host("cells_per_s",
-                  core::json_number(wall_s > 0.0
+                  sim::json_number(wall_s > 0.0
                                         ? static_cast<double>(cells.size()) / wall_s
                                         : 0.0));
   core::emit(ledger);

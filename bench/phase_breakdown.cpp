@@ -7,7 +7,7 @@
 
 #include "core/config.hpp"
 #include "core/obs_glue.hpp"
-#include "core/report.hpp"
+#include "sim/format.hpp"
 #include "obs/snapshots.hpp"
 #include "mem/page_table.hpp"
 #include "runtime/simmpi.hpp"
@@ -59,15 +59,15 @@ Sample run_one(workloads::App& app, kernel::OsKind os, int nodes,
 }  // namespace
 
 int main() {
-  core::print_banner("Phase breakdown — compute / noise / comm per OS @256 nodes",
-                     "quantifying the Section IV narratives");
+  sim::print_banner("Phase breakdown — compute / noise / comm per OS @256 nodes",
+                    "quantifying the Section IV narratives");
 
   using namespace mkos;
   obs::RunLedger ledger =
       core::bench_ledger("phase_breakdown", "IPDPS'18 Section IV narratives", 17);
 
-  core::Table table{{"app", "OS", "compute", "noise", "comm", "PT bytes/rank",
-                     "walk depth"}};
+  sim::Table table{{"app", "OS", "compute", "noise", "comm", "PT bytes/rank",
+                    "walk depth"}};
   const char* names[] = {"AMG2013", "HPCG", "LAMMPS", "MILC", "MiniFE"};
   for (const char* name : names) {
     for (const auto os :
@@ -78,11 +78,11 @@ int main() {
       const Sample s = run_one(*app, os, 256, ledger, series);
       const double total = s.elapsed.sec();
       table.add_row({name, std::string(kernel::to_string(os)),
-                     core::fmt_pct(s.phases.compute.sec() / total),
-                     core::fmt_pct(s.phases.noise.sec() / total),
-                     core::fmt_pct(s.phases.comm.sec() / total),
+                     sim::fmt_pct(s.phases.compute.sec() / total),
+                     sim::fmt_pct(s.phases.noise.sec() / total),
+                     sim::fmt_pct(s.phases.comm.sec() / total),
                      sim::bytes_to_string(s.tables.table_bytes()),
-                     core::fmt(s.walk_depth, 2)});
+                     sim::fmt(s.walk_depth, 2)});
     }
   }
   std::printf("%s\n", table.to_string().c_str());

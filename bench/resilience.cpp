@@ -41,8 +41,8 @@
 
 #include "core/campaign.hpp"
 #include "core/obs_glue.hpp"
-#include "core/report.hpp"
 #include "sim/env.hpp"
+#include "sim/format.hpp"
 
 namespace {
 
@@ -121,8 +121,8 @@ int main() {
   const int reps = sim::env_int("MKOS_RES_REPS", 3, 1, 1000);
   const int threads = sim::ThreadPool::default_threads();
 
-  core::print_banner("Resilience — fault rate x recovery policy x kernel",
-                     "IPDPS'18 10.1109/IPDPS.2018.00022, Section II (partitioning)");
+  sim::print_banner("Resilience — fault rate x recovery policy x kernel",
+                    "IPDPS'18 10.1109/IPDPS.2018.00022, Section II (partitioning)");
 
   std::vector<int> node_counts;
   for (const int n : {64, 256, 1024, 2048}) {
@@ -210,7 +210,7 @@ int main() {
     }
     const auto cells = campaign.run(spec);
 
-    core::Table table{{"n" + std::to_string(nodes) + " scenario", "Linux", "McKernel", "mOS"}};
+    sim::Table table{{"n" + std::to_string(nodes) + " scenario", "Linux", "McKernel", "mOS"}};
     std::map<std::string, std::map<std::string, double>> degr;  // scenario -> kernel
     for (std::size_t i = 0; i < cells.size(); ++i) {
       const auto& [kernel_label, scenario] = meta[i];
@@ -224,9 +224,9 @@ int main() {
     }
     for (const Scenario& s : scenarios) {
       const auto& by_kernel = degr[s.label];
-      table.add_row({s.label, core::fmt(by_kernel.at("Linux"), 3),
-                     core::fmt(by_kernel.at("McKernel"), 3),
-                     core::fmt(by_kernel.at("mOS"), 3)});
+      table.add_row({s.label, sim::fmt(by_kernel.at("Linux"), 3),
+                     sim::fmt(by_kernel.at("McKernel"), 3),
+                     sim::fmt(by_kernel.at("mOS"), 3)});
     }
     std::printf("%s\n", table.to_string().c_str());
 
@@ -269,13 +269,13 @@ int main() {
     }
     const auto cells = campaign.run(spec);
 
-    core::Table table{{"interval/T", "FOM/baseline"}};
+    sim::Table table{{"interval/T", "FOM/baseline"}};
     std::size_t best = 0;
     double best_ratio = -1.0;
     for (std::size_t i = 0; i < cells.size(); ++i) {
       const double ratio =
           sweep_base.fom > 0.0 ? cells[i].stats.median() / sweep_base.fom : 0.0;
-      table.add_row({core::fmt(fractions[i], 5), core::fmt(ratio, 4)});
+      table.add_row({sim::fmt(fractions[i], 5), sim::fmt(ratio, 4)});
       ledger.set_gauge("resilience.ckpt.f" + std::to_string(i) + ".degradation", ratio);
       ledger.set_gauge("resilience.ckpt.f" + std::to_string(i) + ".fraction", fractions[i]);
       core::record_run_stats(ledger, "resilience.ckpt.f" + std::to_string(i),
@@ -288,7 +288,7 @@ int main() {
     std::printf("%s\n", table.to_string().c_str());
     const bool interior = best > 0 && best + 1 < fractions.size();
     std::printf("checkpoint sweep (McKernel, n%d, k=8): best interval = T*%s (%s)\n\n",
-                sweep_nodes, core::fmt(fractions[best], 5).c_str(),
+                sweep_nodes, sim::fmt(fractions[best], 5).c_str(),
                 interior ? "interior optimum" : "edge — widen the sweep");
     ledger.set_gauge("resilience.ckpt.optimal_fraction", fractions[best]);
     ledger.set_gauge("resilience.ckpt.optimal_interior", interior ? 1.0 : 0.0);
@@ -297,7 +297,7 @@ int main() {
   const core::CampaignTelemetry& t = campaign.telemetry();
   std::printf("%s\n", core::describe(t, threads).c_str());
   core::record_campaign(ledger, t, threads);
-  ledger.set_host("wall_s_total", core::json_number(seconds_since(t0)));
+  ledger.set_host("wall_s_total", sim::json_number(seconds_since(t0)));
   core::emit(ledger);
   return 0;
 }

@@ -51,8 +51,8 @@
 
 #include "core/campaign.hpp"
 #include "core/obs_glue.hpp"
-#include "core/report.hpp"
 #include "sim/env.hpp"
+#include "sim/format.hpp"
 #include "sim/work_stealing_pool.hpp"
 #include "workloads/app.hpp"
 
@@ -176,8 +176,8 @@ int main() {
   const int cell_reps = sim::env_int("MKOS_SWEEP_SCHED_CELL_REPS", 2, 1, 100);
   const core::CampaignSpec spec = cell_spec(cell_reps);
 
-  core::print_banner("Scheduler sweep — FIFO vs work stealing vs 2-shard store",
-                     "campaign engine; skewed cost mix (DESIGN.md §16)");
+  sim::print_banner("Scheduler sweep — FIFO vs work stealing vs 2-shard store",
+                    "campaign engine; skewed cost mix (DESIGN.md §16)");
 
   // --- Section 1 (gated): synthetic skewed mix --------------------------
   const std::vector<double> costs = skewed_costs();
@@ -209,13 +209,13 @@ int main() {
   const double fifo_model = list_schedule_makespan(costs, threads);
   const double wsp_model = sched.imbalance * (total_cost / threads);
   const double speedup = wsp_model > 0.0 ? fifo_model / wsp_model : 0.0;
-  core::Table t1{{"pool (" + std::to_string(threads) + " threads)",
-                  "makespan (cost units)", "speedup",
-                  "wall s (min of " + std::to_string(reps) + ")"}};
-  t1.add_row({"FIFO ThreadPool", core::fmt(fifo_model, 1), "1.00x",
-              core::fmt(fifo_s, 3)});
-  t1.add_row({"WorkStealingPool (LPT)", core::fmt(wsp_model, 1),
-              core::fmt(speedup, 2) + "x", core::fmt(wsp_s, 3)});
+  sim::Table t1{{"pool (" + std::to_string(threads) + " threads)",
+                 "makespan (cost units)", "speedup",
+                 "wall s (min of " + std::to_string(reps) + ")"}};
+  t1.add_row({"FIFO ThreadPool", sim::fmt(fifo_model, 1), "1.00x",
+              sim::fmt(fifo_s, 3)});
+  t1.add_row({"WorkStealingPool (LPT)", sim::fmt(wsp_model, 1),
+              sim::fmt(speedup, 2) + "x", sim::fmt(wsp_s, 3)});
   std::printf("%s\n", t1.to_string().c_str());
   std::printf("synthetic mix: %zu tasks, %.0f cost units, straggler last; last WSP "
               "run: %llu local pops, %llu steals, %llu failed scans, imbalance "
@@ -245,11 +245,11 @@ int main() {
   }
   // Measured cell cost vs the placement model (workloads::app_cost_weight):
   // the Linux column is where Lulesh's brk churn bites.
-  core::Table tc{{"cell (Linux config)", "wall ms", "model cost"}};
+  sim::Table tc{{"cell (Linux config)", "wall ms", "model cost"}};
   for (const core::CellResult& c : fifo_cells) {
     if (c.config_label != "Linux" || c.from_cache) continue;
-    tc.add_row({c.app + " @" + std::to_string(c.nodes), core::fmt(c.wall_ms, 1),
-                core::fmt(static_cast<double>(c.nodes) * cell_reps *
+    tc.add_row({c.app + " @" + std::to_string(c.nodes), sim::fmt(c.wall_ms, 1),
+                sim::fmt(static_cast<double>(c.nodes) * cell_reps *
                               workloads::app_cost_weight(c.app),
                           0)});
   }
@@ -316,16 +316,16 @@ int main() {
 
   const double slowest_shard = std::max(shard_walls[0], shard_walls[1]);
   const double efficiency = slowest_shard > 0.0 ? wsp_cells_s / slowest_shard : 0.0;
-  core::Table t2{{"phase", "wall s", "claims", "races", "stolen"}};
+  sim::Table t2{{"phase", "wall s", "claims", "races", "stolen"}};
   for (int i = 0; i < 2; ++i) {
     const core::CampaignTelemetry& st = shard_telemetry[i];
     t2.add_row({"shard " + std::to_string(i) + "/2 (" + std::to_string(half) +
                     " threads)",
-                core::fmt(shard_walls[i], 3), std::to_string(st.sched_claims),
+                sim::fmt(shard_walls[i], 3), std::to_string(st.sched_claims),
                 std::to_string(st.sched_claim_races),
                 std::to_string(st.stolen_cells)});
   }
-  t2.add_row({"merge (warm store)", core::fmt(merge_s, 3), "0", "0", "0"});
+  t2.add_row({"merge (warm store)", sim::fmt(merge_s, 3), "0", "0", "0"});
   std::printf("%s\n", t2.to_string().c_str());
   std::printf("2-shard efficiency vs one %d-thread machine: %.2f "
               "(1.0 = linear: each half-machine shard matches the full pool)\n\n",
@@ -339,17 +339,17 @@ int main() {
   ledger.set_meta("cell_reps", std::to_string(cell_reps));
   ledger.set_meta("timing_reps", std::to_string(reps));
   core::record_campaign(ledger, merge_campaign.telemetry(), threads, &merge_store);
-  ledger.set_host("wall_s_fifo", core::json_number(fifo_s));
-  ledger.set_host("wall_s_wsp", core::json_number(wsp_s));
-  ledger.set_host("makespan_fifo_model", core::json_number(fifo_model));
-  ledger.set_host("makespan_wsp_model", core::json_number(wsp_model));
-  ledger.set_host("sched_speedup", core::json_number(speedup));
-  ledger.set_host("wall_s_fifo_cells", core::json_number(fifo_cells_s));
-  ledger.set_host("wall_s_wsp_cells", core::json_number(wsp_cells_s));
-  ledger.set_host("wall_s_shard0", core::json_number(shard_walls[0]));
-  ledger.set_host("wall_s_shard1", core::json_number(shard_walls[1]));
-  ledger.set_host("wall_s_merge", core::json_number(merge_s));
-  ledger.set_host("shard_efficiency", core::json_number(efficiency));
+  ledger.set_host("wall_s_fifo", sim::json_number(fifo_s));
+  ledger.set_host("wall_s_wsp", sim::json_number(wsp_s));
+  ledger.set_host("makespan_fifo_model", sim::json_number(fifo_model));
+  ledger.set_host("makespan_wsp_model", sim::json_number(wsp_model));
+  ledger.set_host("sched_speedup", sim::json_number(speedup));
+  ledger.set_host("wall_s_fifo_cells", sim::json_number(fifo_cells_s));
+  ledger.set_host("wall_s_wsp_cells", sim::json_number(wsp_cells_s));
+  ledger.set_host("wall_s_shard0", sim::json_number(shard_walls[0]));
+  ledger.set_host("wall_s_shard1", sim::json_number(shard_walls[1]));
+  ledger.set_host("wall_s_merge", sim::json_number(merge_s));
+  ledger.set_host("shard_efficiency", sim::json_number(efficiency));
   core::emit(ledger);
   return 0;
 }

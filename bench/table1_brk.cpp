@@ -9,7 +9,7 @@
 
 #include "core/experiment.hpp"
 #include "core/obs_glue.hpp"
-#include "core/report.hpp"
+#include "sim/format.hpp"
 
 namespace {
 
@@ -29,8 +29,8 @@ int main() {
   using namespace mkos;
   using core::SystemConfig;
 
-  core::print_banner("Table I — Lulesh in DDR4 RAM, with/without brk() optimizations",
-                     "IPDPS'18, Table I");
+  sim::print_banner("Table I — Lulesh in DDR4 RAM, with/without brk() optimizations",
+                    "IPDPS'18, Table I");
 
   SystemConfig linux_cfg = SystemConfig::linux_default();
   linux_cfg.lwk_prefer_mcdram = false;
@@ -47,17 +47,17 @@ int main() {
   const double plain = run_ddr_lulesh(mos_plain, ledger, "lulesh_ddr.mos_plain_heap");
   const double regular = run_ddr_lulesh(mos_regular, ledger, "lulesh_ddr.mos_hpc_heap");
 
-  core::Table table{{"configuration", "zones/s", "vs Linux", "paper"}};
-  table.add_row({"Linux", core::fmt(lin, 0), "100.0%", "8,959 (100.0%)"});
-  table.add_row({"mOS, heap management disabled", core::fmt(plain, 0),
-                 core::fmt_pct(plain / lin), "9,551 (106.6%)"});
-  table.add_row({"mOS, regular heap management", core::fmt(regular, 0),
-                 core::fmt_pct(regular / lin), "10,841 (121.0%)"});
+  sim::Table table{{"configuration", "zones/s", "vs Linux", "paper"}};
+  table.add_row({"Linux", sim::fmt(lin, 0), "100.0%", "8,959 (100.0%)"});
+  table.add_row({"mOS, heap management disabled", sim::fmt(plain, 0),
+                 sim::fmt_pct(plain / lin), "9,551 (106.6%)"});
+  table.add_row({"mOS, regular heap management", sim::fmt(regular, 0),
+                 sim::fmt_pct(regular / lin), "10,841 (121.0%)"});
   std::printf("%s\n", table.to_string().c_str());
 
   std::printf("decomposition: ~%s of the gain is heap management "
               "(paper: 121.0 - 106.6 = 14.4 points)\n",
-              core::fmt_pct(regular / lin - plain / lin, 1).c_str());
+              sim::fmt_pct(regular / lin - plain / lin, 1).c_str());
 
   ledger.set_gauge("ratio.mos_plain_vs_linux", plain / lin);
   ledger.set_gauge("ratio.mos_hpc_vs_linux", regular / lin);

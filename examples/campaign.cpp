@@ -12,8 +12,8 @@
 #include <cstdio>
 
 #include "core/campaign.hpp"
-#include "core/report.hpp"
 #include "sim/env.hpp"
+#include "sim/format.hpp"
 
 namespace {
 
@@ -49,13 +49,13 @@ int main(int argc, char** argv) {
   spec.seed = 2026;
   spec.max_nodes = max_nodes;
 
-  core::Table table{{"app", "os", "nodes", "metric", "median", "min", "max"}};
+  sim::Table table{{"app", "os", "nodes", "metric", "median", "min", "max"}};
   for (const core::CellResult& cell : campaign.run(spec)) {
     const auto app = workloads::make_app(cell.app);
     table.add_row({cell.app, cell.config_label, std::to_string(cell.nodes),
-                   std::string(app->metric()), core::fmt_sci(cell.stats.median(), 6),
-                   core::fmt_sci(cell.stats.min(), 6),
-                   core::fmt_sci(cell.stats.max(), 6)});
+                   std::string(app->metric()), sim::fmt_sci(cell.stats.median(), 6),
+                   sim::fmt_sci(cell.stats.min(), 6),
+                   sim::fmt_sci(cell.stats.max(), 6)});
   }
   std::fputs(table.to_csv().c_str(), stdout);
   std::fputs(core::describe(campaign.telemetry(), pool.size()).c_str(), stderr);

@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "core/experiment.hpp"
-#include "core/report.hpp"
+#include "sim/format.hpp"
 
 namespace {
 
@@ -22,33 +22,33 @@ double median_fom(const mkos::core::SystemConfig& config) {
 int main() {
   using namespace mkos;
 
-  core::print_banner("mkos custom LWK — McKernel feature toggles on Lulesh (27 nodes)",
-                     "Section II-D6: application-specific features");
+  sim::print_banner("mkos custom LWK — McKernel feature toggles on Lulesh (27 nodes)",
+                    "Section II-D6: application-specific features");
 
   core::SystemConfig base = core::SystemConfig::mckernel();
   base.hpc_brk = false;
   const double baseline = median_fom(base);
 
-  core::Table table{{"configuration", "zones/s", "vs plain McKernel"}};
-  table.add_row({"plain (HPC brk off)", core::fmt(baseline, 0), "100.0%"});
+  sim::Table table{{"configuration", "zones/s", "vs plain McKernel"}};
+  table.add_row({"plain (HPC brk off)", sim::fmt(baseline, 0), "100.0%"});
 
   core::SystemConfig with_brk = base;
   with_brk.hpc_brk = true;
   const double brk_fom = median_fom(with_brk);
-  table.add_row({"+ HPC brk()", core::fmt(brk_fom, 0),
-                 core::fmt_pct(brk_fom / baseline)});
+  table.add_row({"+ HPC brk()", sim::fmt(brk_fom, 0),
+                 sim::fmt_pct(brk_fom / baseline)});
 
   core::SystemConfig with_yield = with_brk;
   with_yield.mckernel_disable_sched_yield = true;
   const double yield_fom = median_fom(with_yield);
-  table.add_row({"+ --disable-sched-yield", core::fmt(yield_fom, 0),
-                 core::fmt_pct(yield_fom / baseline)});
+  table.add_row({"+ --disable-sched-yield", sim::fmt(yield_fom, 0),
+                 sim::fmt_pct(yield_fom / baseline)});
 
   core::SystemConfig with_premap = with_yield;
   with_premap.mckernel_mpol_shm_premap = true;
   const double premap_fom = median_fom(with_premap);
-  table.add_row({"+ --mpol-shm-premap", core::fmt(premap_fom, 0),
-                 core::fmt_pct(premap_fom / baseline)});
+  table.add_row({"+ --mpol-shm-premap", sim::fmt(premap_fom, 0),
+                 sim::fmt_pct(premap_fom / baseline)});
 
   std::printf("%s\n", table.to_string().c_str());
   std::printf(

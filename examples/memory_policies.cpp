@@ -5,18 +5,18 @@
 #include <cstdio>
 
 #include "core/config.hpp"
-#include "core/report.hpp"
 #include "runtime/job.hpp"
+#include "sim/format.hpp"
 #include "workloads/app.hpp"
 
 int main() {
   using namespace mkos;
   using sim::GiB;
 
-  core::print_banner("mkos memory policies — MCDRAM spill on SNC-4",
-                     "working set exceeds the 16 GiB of MCDRAM");
+  sim::print_banner("mkos memory policies — MCDRAM spill on SNC-4",
+                    "working set exceeds the 16 GiB of MCDRAM");
 
-  core::Table table{{"OS", "lane", "resident", "MCDRAM share", "faults"}};
+  sim::Table table{{"OS", "lane", "resident", "MCDRAM share", "faults"}};
 
   for (const auto os :
        {kernel::OsKind::kLinux, kernel::OsKind::kMcKernel, kernel::OsKind::kMos}) {
@@ -31,7 +31,7 @@ int main() {
       const auto& p = job.lane(lane);
       table.add_row({config.label(), std::to_string(lane),
                      sim::bytes_to_string(p.address_space().resident_bytes()),
-                     core::fmt_pct(job.lane_fraction_in(lane, hw::MemKind::kMcdram)),
+                     sim::fmt_pct(job.lane_fraction_in(lane, hw::MemKind::kMcdram)),
                      std::to_string(p.address_space().total_faults())});
     }
   }

@@ -5,8 +5,8 @@
 #include <cstdio>
 
 #include "core/config.hpp"
-#include "core/report.hpp"
 #include "runtime/simmpi.hpp"
+#include "sim/format.hpp"
 
 namespace {
 
@@ -29,16 +29,16 @@ double iteration_us(mkos::kernel::OsKind os, int nodes, mkos::sim::TimeNs window
 int main() {
   using namespace mkos;
 
-  core::print_banner("mkos noise amplification — allreduce loop, 150 us windows",
-                     "the Fig. 5b mechanism in isolation");
+  sim::print_banner("mkos noise amplification — allreduce loop, 150 us windows",
+                    "the Fig. 5b mechanism in isolation");
 
-  core::Table table{{"nodes", "Linux us/iter", "McKernel us/iter", "Linux/LWK"}};
+  sim::Table table{{"nodes", "Linux us/iter", "McKernel us/iter", "Linux/LWK"}};
   for (int nodes : {16, 64, 256, 512, 1024, 2048}) {
     const double lin = iteration_us(kernel::OsKind::kLinux, nodes, sim::microseconds(150));
     const double mck =
         iteration_us(kernel::OsKind::kMcKernel, nodes, sim::microseconds(150));
-    table.add_row({std::to_string(nodes), core::fmt(lin, 1), core::fmt(mck, 1),
-                   core::fmt(lin / mck, 2)});
+    table.add_row({std::to_string(nodes), sim::fmt(lin, 1), sim::fmt(mck, 1),
+                   sim::fmt(lin / mck, 2)});
   }
   std::printf("%s\n", table.to_string().c_str());
   std::printf(

@@ -240,7 +240,7 @@ class Campaign {
   CampaignTelemetry telemetry_;
 };
 
-/// Render telemetry with the core/report toolkit (table + histogram).
+/// Render telemetry with the sim/format toolkit (table + histogram).
 [[nodiscard]] std::string describe(const CampaignTelemetry& t, int threads);
 
 }  // namespace mkos::core

@@ -6,7 +6,7 @@
 // histograms, grouped by a `<subsystem>.<metric>` naming convention
 // (heap.brk_calls, kernel.ikc_round_trips, runtime.coll_stall_ns, ...).
 // A ledger snapshots into a versioned JSON document (schema
-// "mkos.run_ledger.v1") or a flat CSV via the hardened core/report layer.
+// "mkos.run_ledger.v1") or a flat CSV via the hardened sim/format layer.
 //
 // Determinism contract (DESIGN.md §5.1 / §10): everything outside the
 // `host` section is a pure function of (app, config fingerprint, nodes,
@@ -83,7 +83,7 @@ class MKOS_THREAD_CONFINED("one campaign cell task, merged post-join") RunLedger
   // ------------------------------------------------------------------ host
   /// Host-dependent telemetry (wall time, threads, throughput), excluded
   /// from the determinism contract. `json_value` is a pre-serialized JSON
-  /// value (use core::json_number / core::json_quote / *_json helpers).
+  /// value (use sim::json_number / sim::json_quote / *_json helpers).
   void set_host(const std::string& key, const std::string& json_value);
 
   /// Positional merge of a per-task ledger: counters add, gauges overwrite,

@@ -1,12 +1,11 @@
 #pragma once
 // ASCII table / number formatting / strict-JSON emission primitives.
 //
-// This is the serialization bedrock shared by the run ledger (obs/) and the
-// bench harness report layer (core/report.hpp re-exports these names into
-// mkos::core for its callers). It lives in sim/ — the bottom layer — so that
-// obs can emit JSON/CSV without an upward include of core, keeping the
-// module include graph acyclic (enforced by mkos-lint's layering phase
-// against tools/layering.rules).
+// This is the serialization bedrock shared by the run ledger (obs/), the
+// campaign glue (core/) and the bench, example and test harnesses. It lives
+// in sim/ — the bottom layer — so that obs can emit JSON/CSV without an
+// upward include of core, keeping the module include graph acyclic
+// (enforced by mkos-lint's layering phase against tools/layering.rules).
 
 #include <cstdint>
 #include <string>

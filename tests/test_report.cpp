@@ -1,4 +1,4 @@
-// Unit tests for the hardened core/report layer: JSON string/number
+// Unit tests for the hardened sim/format layer: JSON string/number
 // emission that always parses under a strict reader, CSV quoting, and
 // Summary percentile interpolation edges.
 
@@ -7,7 +7,7 @@
 #include <cmath>
 #include <limits>
 
-#include "core/report.hpp"
+#include "sim/format.hpp"
 #include "sim/stats.hpp"
 #include "strict_json.hpp"
 
@@ -19,23 +19,23 @@ using mkos::testutil::StrictJson;
 // --------------------------------------------------------------- json_quote
 
 TEST(JsonQuote, PlainAsciiPassesThrough) {
-  EXPECT_EQ(core::json_quote("hello world"), "\"hello world\"");
+  EXPECT_EQ(sim::json_quote("hello world"), "\"hello world\"");
 }
 
 TEST(JsonQuote, EscapesQuoteAndBackslash) {
-  EXPECT_EQ(core::json_quote("a\"b\\c"), "\"a\\\"b\\\\c\"");
+  EXPECT_EQ(sim::json_quote("a\"b\\c"), "\"a\\\"b\\\\c\"");
 }
 
 TEST(JsonQuote, EscapesControlCharacters) {
-  EXPECT_EQ(core::json_quote("\b\f\n\r\t"), "\"\\b\\f\\n\\r\\t\"");
+  EXPECT_EQ(sim::json_quote("\b\f\n\r\t"), "\"\\b\\f\\n\\r\\t\"");
   // Control chars without a shorthand use \u00XX.
-  EXPECT_EQ(core::json_quote(std::string{'\x01'}), "\"\\u0001\"");
-  EXPECT_EQ(core::json_quote(std::string{'\x1f'}), "\"\\u001f\"");
+  EXPECT_EQ(sim::json_quote(std::string{'\x01'}), "\"\\u0001\"");
+  EXPECT_EQ(sim::json_quote(std::string{'\x1f'}), "\"\\u001f\"");
 }
 
 TEST(JsonQuote, RoundTripsThroughStrictParser) {
   const std::string nasty = "line1\nline2\t\"quoted\\path\"\x01\x7f end";
-  const std::string quoted = core::json_quote(nasty);
+  const std::string quoted = sim::json_quote(nasty);
   std::string decoded;
   ASSERT_TRUE(StrictJson::decode_string(quoted, &decoded));
   EXPECT_EQ(decoded, nasty);
@@ -44,14 +44,14 @@ TEST(JsonQuote, RoundTripsThroughStrictParser) {
 // -------------------------------------------------------------- json_number
 
 TEST(JsonNumber, NonFiniteSerializesAsNull) {
-  EXPECT_EQ(core::json_number(std::numeric_limits<double>::quiet_NaN()), "null");
-  EXPECT_EQ(core::json_number(std::numeric_limits<double>::infinity()), "null");
-  EXPECT_EQ(core::json_number(-std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(sim::json_number(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(sim::json_number(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(sim::json_number(-std::numeric_limits<double>::infinity()), "null");
 }
 
 TEST(JsonNumber, FiniteValuesRoundTrip) {
   for (const double v : {0.0, -1.5, 3.14159265358979, 1e-300, 6.02e23, 1234567.0}) {
-    const std::string s = core::json_number(v);
+    const std::string s = sim::json_number(v);
     EXPECT_TRUE(StrictJson{s}.valid()) << s;
     EXPECT_EQ(std::stod(s), v) << s;
   }
@@ -60,7 +60,7 @@ TEST(JsonNumber, FiniteValuesRoundTrip) {
 // --------------------------------------------------------------- JsonObject
 
 TEST(JsonObject, EmitsStrictlyValidJson) {
-  core::JsonObject obj;
+  sim::JsonObject obj;
   obj.text("name", "bench \"x\"\nwith newline")
       .number("nan_gauge", std::numeric_limits<double>::quiet_NaN())
       .number("value", 2.5)
@@ -76,7 +76,7 @@ TEST(JsonObject, EmitsStrictlyValidJson) {
 // ------------------------------------------------------------ Table::to_csv
 
 TEST(TableCsv, QuotesCellsWithCommasQuotesAndNewlines) {
-  core::Table t{{"app", "note"}};
+  sim::Table t{{"app", "note"}};
   t.add_row({"plain", "a,b"});
   t.add_row({"said \"hi\"", "two\nlines"});
   const std::string csv = t.to_csv();
@@ -88,7 +88,7 @@ TEST(TableCsv, QuotesCellsWithCommasQuotesAndNewlines) {
 }
 
 TEST(TableCsv, PlainCellsStayUnquoted) {
-  core::Table t{{"k", "v"}};
+  sim::Table t{{"k", "v"}};
   t.add_row({"x", "1.5"});
   EXPECT_EQ(t.to_csv(), "k,v\nx,1.5\n");
 }

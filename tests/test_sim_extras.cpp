@@ -5,10 +5,10 @@
 
 #include <cstdlib>
 
-#include "core/report.hpp"
 #include "kernel/ikc_queue.hpp"
 #include "kernel/scheduler.hpp"
 #include "sim/env.hpp"
+#include "sim/format.hpp"
 #include "sim/histogram.hpp"
 #include "sim/rng.hpp"
 
@@ -273,7 +273,7 @@ TEST(TimeShare, PreemptionCostAccumulates) {
 // ----------------------------------------------------------------- Table CSV
 
 TEST(Report, CsvEscaping) {
-  core::Table t{{"name", "value"}};
+  sim::Table t{{"name", "value"}};
   t.add_row({"plain", "1"});
   t.add_row({"with,comma", "2"});
   t.add_row({"with\"quote", "3"});
