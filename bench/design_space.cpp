@@ -21,6 +21,7 @@
 #include "hw/knl.hpp"
 #include "kernel/node.hpp"
 #include "sim/format.hpp"
+#include "sim/work_stealing_pool.hpp"
 
 namespace {
 
@@ -53,7 +54,7 @@ int main() {
   // process fills the store and skips the comparison tables — the merge is
   // an unsharded rerun over the warm store.
   const core::ShardSpec shard = core::ShardSpec::from_env();
-  sim::ThreadPool pool;
+  sim::WorkStealingPool pool;
   const auto store = core::CellStore::from_env();
   core::CellCache cache(store.get());
   core::Campaign campaign(pool, cache);
@@ -129,8 +130,7 @@ int main() {
       "kernels close that gap by implementing the performance-sensitive calls\n"
       "inside the LWK and offloading only the compatibility surface.\n");
 
-  core::record_campaign(ledger, campaign.telemetry(), sim::ThreadPool::default_threads(),
-                        store.get());
+  core::record_campaign(ledger, campaign.telemetry(), pool.size(), store.get());
   core::emit(ledger);
   return 0;
 }

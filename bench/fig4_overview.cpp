@@ -6,7 +6,7 @@
 // applications as high as 280%".
 //
 // Runs on the parallel campaign engine: the cell grid fans out across a
-// sim::ThreadPool and the Linux baseline cells — requested by both the
+// sim::WorkStealingPool and the Linux baseline cells — requested by both the
 // McKernel and the mOS comparison — are simulated once and served from the
 // cell cache afterwards. A 1-thread cold-cache reference run measures the
 // serial wall clock; results are bit-identical by construction (positional
@@ -33,6 +33,7 @@
 #include "core/obs_glue.hpp"
 #include "sim/env.hpp"
 #include "sim/format.hpp"
+#include "sim/work_stealing_pool.hpp"
 
 namespace {
 
@@ -110,12 +111,12 @@ int main() {
   opts.shard = core::ShardSpec::from_env();
   const int max_nodes = opts.max_nodes;
   const int reps = opts.reps;
-  const int threads = sim::ThreadPool::default_threads();
+  const int threads = sim::default_threads();
 
   sim::print_banner("Fig. 4 — relative median performance vs Linux, 1..2048 nodes",
                     "IPDPS'18 10.1109/IPDPS.2018.00022, Figure 4");
 
-  sim::ThreadPool pool(threads);
+  sim::WorkStealingPool pool(threads);
   const auto store = core::CellStore::from_env();
   core::CellCache cache(store.get());
   core::Campaign campaign(pool, cache);
@@ -167,7 +168,7 @@ int main() {
   // seeds), so only the wall clock differs.
   double serial_s = 0.0;
   if (!opts.partial() && sim::env_int("MKOS_FIG4_SKIP_SERIAL", 0, 0, 1) == 0) {
-    sim::ThreadPool serial_pool(1);
+    sim::WorkStealingPool serial_pool(1);
     core::CellCache serial_cache;
     core::Campaign serial_campaign(serial_pool, serial_cache);
     // mkos-lint: allow(wall-clock) — host telemetry: serial reference timing.

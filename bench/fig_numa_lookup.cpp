@@ -30,6 +30,7 @@
 #include "core/obs_glue.hpp"
 #include "sim/env.hpp"
 #include "sim/format.hpp"
+#include "sim/work_stealing_pool.hpp"
 
 namespace {
 
@@ -96,13 +97,13 @@ int main() {
   opts.reps = sim::env_int("MKOS_NUMA_REPS", 3, 1, 1000);
   opts.resume = sim::env_int("MKOS_NUMA_RESUME", 0, 0, 1) == 1;
   opts.shard = core::ShardSpec::from_env();
-  const int threads = sim::ThreadPool::default_threads();
+  const int threads = sim::default_threads();
 
   sim::print_banner(
       "NUMA lookup — XSBench placement policies under the allocator model",
       "IPDPS'18 10.1109/IPDPS.2018.00022, Section III-C extension");
 
-  sim::ThreadPool pool(threads);
+  sim::WorkStealingPool pool(threads);
   const auto store = core::CellStore::from_env();
   core::CellCache cache(store.get());
   core::Campaign campaign(pool, cache);
@@ -153,7 +154,7 @@ int main() {
 
   double serial_s = 0.0;
   if (!opts.partial() && sim::env_int("MKOS_NUMA_SKIP_SERIAL", 0, 0, 1) == 0) {
-    sim::ThreadPool serial_pool(1);
+    sim::WorkStealingPool serial_pool(1);
     core::CellCache serial_cache;
     core::Campaign serial_campaign(serial_pool, serial_cache);
     // mkos-lint: allow(wall-clock) — host telemetry: serial reference timing.

@@ -7,6 +7,7 @@
 #include "core/campaign.hpp"
 #include "core/obs_glue.hpp"
 #include "sim/format.hpp"
+#include "sim/work_stealing_pool.hpp"
 
 namespace {
 
@@ -31,7 +32,7 @@ int main() {
 
   // All 8 cells (2 apps x 4 option sets) fan out across the pool at once.
   // MKOS_CELL_STORE=<dir> adds the persistent disk tier.
-  sim::ThreadPool pool;
+  sim::WorkStealingPool pool;
   const auto store = core::CellStore::from_env();
   core::CellCache cache(store.get());
   core::Campaign campaign(pool, cache);
@@ -80,8 +81,7 @@ int main() {
   std::printf("premap avoids the shared-memory fault storm at MPI_Init;\n"
               "the yield hijack removes user/kernel crossings from OpenMP spin loops.\n");
 
-  core::record_campaign(ledger, campaign.telemetry(), sim::ThreadPool::default_threads(),
-                        store.get());
+  core::record_campaign(ledger, campaign.telemetry(), pool.size(), store.get());
   core::emit(ledger);
   return 0;
 }

@@ -18,6 +18,7 @@
 #include "core/obs_glue.hpp"
 #include "sim/env.hpp"
 #include "sim/format.hpp"
+#include "sim/work_stealing_pool.hpp"
 
 namespace {
 
@@ -35,7 +36,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 int main() {
   const int max_nodes = sim::env_int("MKOS_SMOKE_MAX_NODES", 256, 1, 1 << 20);
   const int reps = sim::env_int("MKOS_SMOKE_REPS", 3, 1, 1000);
-  const int threads = sim::ThreadPool::default_threads();
+  const int threads = sim::default_threads();
 
   sim::print_banner("perf_smoke — timed fig4-style campaign",
                     "sampling-engine performance regression sensor");
@@ -48,7 +49,7 @@ int main() {
   spec.configs = {SystemConfig::linux_default(), SystemConfig::mckernel(),
                   SystemConfig::mos()};
 
-  sim::ThreadPool pool(threads);
+  sim::WorkStealingPool pool(threads);
   core::CellCache cache;
   core::Campaign campaign(pool, cache);
   // mkos-lint: allow(wall-clock) — host telemetry: campaign wall time.

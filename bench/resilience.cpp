@@ -43,6 +43,7 @@
 #include "core/obs_glue.hpp"
 #include "sim/env.hpp"
 #include "sim/format.hpp"
+#include "sim/work_stealing_pool.hpp"
 
 namespace {
 
@@ -119,7 +120,7 @@ int main() {
   // smallest supported scale the per-node share no longer fits in memory.
   const int max_nodes = sim::env_int("MKOS_RES_MAX_NODES", 2048, 16, 1 << 20);
   const int reps = sim::env_int("MKOS_RES_REPS", 3, 1, 1000);
-  const int threads = sim::ThreadPool::default_threads();
+  const int threads = sim::default_threads();
 
   sim::print_banner("Resilience — fault rate x recovery policy x kernel",
                     "IPDPS'18 10.1109/IPDPS.2018.00022, Section II (partitioning)");
@@ -134,7 +135,7 @@ int main() {
   const std::vector<SystemConfig> kernels = {
       SystemConfig::linux_default(), SystemConfig::mckernel(), SystemConfig::mos()};
 
-  sim::ThreadPool pool(threads);
+  sim::WorkStealingPool pool(threads);
   core::CellCache cache;
   core::Campaign campaign(pool, cache);
   // mkos-lint: allow(wall-clock) — host telemetry: total sweep wall time.

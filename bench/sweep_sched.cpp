@@ -1,5 +1,5 @@
-// Scheduler sweep: FIFO pool vs work-stealing pool on a skewed cost mix,
-// plus sharded two-process scaling over a shared cell store.
+// Scheduler sweep: the work-stealing pool against a shared-FIFO model on a
+// skewed cost mix, plus sharded two-process scaling over a shared cell store.
 //
 // Section 1 (gated): a synthetic skewed task mix driven through the exact
 // production fan-out path (sim::parallel_for_weighted -> TaskPool): a
@@ -9,22 +9,23 @@
 // straggler only after draining the light field (makespan ~= W_light/8 +
 // h) while LPT placement starts it immediately (makespan ~= h), a ~1.8x
 // gap. CI gates `host.sched_speedup >= 1.3` on the MODELED makespan
-// ratio, not wall clock: a CI container may expose a single CPU, where
-// eight spinning workers serialize and every schedule takes total-work
-// time — wall clock cannot distinguish schedulers there. The FIFO model
-// is the greedy list schedule of the submission order (exactly what the
-// shared-queue pool implements: the next free worker takes the next
-// queued task); the work-stealing model is taken from the REAL pool run —
-// max per-worker executed cost, i.e. `imbalance x mean` from
-// sched_telemetry() — so the gate still certifies production placement.
-// Wall clocks are reported alongside, informationally.
+// ratio, not wall clock: with more workers than CPUs the workers
+// serialize and every schedule takes total-work time, so wall clock cannot
+// distinguish schedulers there. Both sides are the greedy list schedule on
+// `threads` virtual workers (the next free worker takes the next task):
+// the FIFO model takes the tasks in submission order, which is what a
+// shared-queue pool does; the work-stealing side takes them in the order
+// the REAL pool started them, which each task body records with one atomic
+// index. The gate therefore certifies the pool's start order (the heavy
+// task goes first) and not how the OS scheduled its threads. The worst run
+// of the repetitions is gated; wall clocks are reported, informationally.
 //
 // Section 2: a real campaign grid with genuine cost skew (Lulesh 2.0 on
 // Linux pays the brk-churn price — about 2–3x a MiniFE cell, 1.4–3.5 ms
-// against 0.5–1.2 ms on a 4-core Xeon) timed on both pools, asserting the
-// pools produce byte-identical cell statistics (the positional-seed
-// determinism contract), and printing measured cell cost against the
-// placement model's estimate.
+// against 0.5–1.2 ms on a 4-core Xeon) timed on a 1-worker and a
+// `threads`-worker pool, asserting both produce byte-identical cell
+// statistics (the positional-seed determinism contract), and printing the
+// 1-worker cell cost against the placement model's estimate.
 //
 // Section 3 (multi-process, emulated): the same grid split across two
 // shards (MKOS_SHARD semantics, DESIGN.md §16) running concurrently over
@@ -34,16 +35,19 @@
 // every cell a verified disk hit, zero writes, statistics identical to
 // direct simulation.
 //
-//   MKOS_SWEEP_SCHED_REPS    timing repetitions, min taken (default 3)
+//   MKOS_SWEEP_SCHED_REPS    repetitions of section 1 (default 3)
 //   MKOS_SWEEP_SCHED_THREADS pool width for the timed runs (default 8)
 //   MKOS_SWEEP_SCHED_CELL_REPS  per-cell simulation reps (default 2)
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
+#include <numeric>
 #include <queue>
 #include <string>
 #include <thread>
@@ -88,20 +92,21 @@ std::vector<double> skewed_costs() {
   return costs;
 }
 
-/// Greedy list-schedule makespan of `costs` taken in index order on
-/// `workers` identical virtual workers: the next free worker takes the
-/// next queued task. This is exactly the schedule a shared-FIFO pool
-/// produces on a machine with `workers` real cores, computed in virtual
-/// time so the answer does not depend on the CI host's core count.
-double list_schedule_makespan(const std::vector<double>& costs, int workers) {
+/// Greedy list-schedule makespan of `costs` taken in `order` on `workers`
+/// identical virtual workers: the next free worker takes the next task.
+/// Taken in submission order, this is exactly the schedule a shared-FIFO
+/// pool produces on a machine with `workers` real cores, computed in
+/// virtual time so the answer does not depend on the host's core count.
+double list_schedule_makespan(const std::vector<double>& costs,
+                              const std::vector<std::size_t>& order, int workers) {
   std::priority_queue<double, std::vector<double>, std::greater<>> free_at;
   for (int w = 0; w < workers; ++w) free_at.push(0.0);
   double makespan = 0.0;
-  for (const double c : costs) {
+  for (const std::size_t i : order) {
     const double start = free_at.top();
     free_at.pop();
-    free_at.push(start + c);
-    makespan = std::max(makespan, start + c);
+    free_at.push(start + costs[i]);
+    makespan = std::max(makespan, start + costs[i]);
   }
   return makespan;
 }
@@ -127,13 +132,17 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-/// Makespan of the synthetic mix on `pool`, via the campaign's own
-/// weighted fan-out (LPT placement iff the pool is cost-aware).
+/// Wall time of the synthetic mix on `pool`, via the campaign's own
+/// weighted fan-out (LPT placement). `started` receives the task indices in
+/// the order the pool started them.
 double timed_synthetic(sim::TaskPool& pool, const std::vector<double>& costs,
+                       std::vector<std::size_t>* started,
                        std::vector<std::uint64_t>* sink) {
+  std::atomic<std::size_t> next{0};
   // mkos-lint: allow(wall-clock) — host telemetry: scheduler makespan.
   const auto t0 = std::chrono::steady_clock::now();
   sim::parallel_for_weighted(pool, costs, [&](std::size_t i) {
+    (*started)[next.fetch_add(1)] = i;
     (*sink)[i] = spin(costs[i]);
   });
   return seconds_since(t0);
@@ -176,86 +185,85 @@ int main() {
   const int cell_reps = sim::env_int("MKOS_SWEEP_SCHED_CELL_REPS", 2, 1, 100);
   const core::CampaignSpec spec = cell_spec(cell_reps);
 
-  sim::print_banner("Scheduler sweep — FIFO vs work stealing vs 2-shard store",
+  sim::print_banner("Scheduler sweep — work stealing vs a FIFO model, 2-shard store",
                     "campaign engine; skewed cost mix (DESIGN.md §16)");
 
   // --- Section 1 (gated): synthetic skewed mix --------------------------
   const std::vector<double> costs = skewed_costs();
   std::vector<std::uint64_t> sink(costs.size());
-  double fifo_s = 1e300;
+  std::vector<std::size_t> submitted(costs.size());
+  std::iota(submitted.begin(), submitted.end(), std::size_t{0});
+  std::vector<std::size_t> started(costs.size());
   double wsp_s = 1e300;
+  double wsp_model = 0.0;
   sim::TaskPool::SchedTelemetry sched{};
   for (int r = 0; r < reps; ++r) {
-    {
-      sim::ThreadPool pool(threads);
-      fifo_s = std::min(fifo_s, timed_synthetic(pool, costs, &sink));
-    }
-    {
-      sim::WorkStealingPool pool(threads);
-      wsp_s = std::min(wsp_s, timed_synthetic(pool, costs, &sink));
-      sched = pool.sched_telemetry();
-    }
+    sim::WorkStealingPool pool(threads);
+    wsp_s = std::min(wsp_s, timed_synthetic(pool, costs, &started, &sink));
+    wsp_model = std::max(wsp_model, list_schedule_makespan(costs, started, threads));
+    sched = pool.sched_telemetry();
   }
   std::uint64_t sink_sum = 0;
   for (const std::uint64_t v : sink) sink_sum += v;  // consume the spin results
+  const auto straggler_rank =
+      std::find(started.begin(), started.end(), costs.size() - 1) - started.begin();
 
-  // The gated comparison, in virtual time (core-count independent): FIFO =
-  // greedy list schedule of the submission order; WSP = the real pool's
-  // measured executed-cost peak (imbalance x mean). LPT's makespan is
-  // bounded below by the straggler, so the ratio is ~1.8 by construction
-  // and collapses toward 1.0 if cost-model placement regresses.
+  // The gated comparison, in virtual time (core-count independent): the
+  // same list schedule over the FIFO submission order and over the real
+  // pool's worst start order. LPT's makespan is bounded below by the
+  // straggler, so the ratio is ~1.7 when the pool starts the straggler
+  // first and collapses toward 1.0 when it starts it last.
   double total_cost = 0.0;
   for (const double c : costs) total_cost += c;
-  const double fifo_model = list_schedule_makespan(costs, threads);
-  const double wsp_model = sched.imbalance * (total_cost / threads);
+  const double fifo_model = list_schedule_makespan(costs, submitted, threads);
   const double speedup = wsp_model > 0.0 ? fifo_model / wsp_model : 0.0;
-  sim::Table t1{{"pool (" + std::to_string(threads) + " threads)",
+  sim::Table t1{{"schedule (" + std::to_string(threads) + " workers)",
                  "makespan (cost units)", "speedup",
                  "wall s (min of " + std::to_string(reps) + ")"}};
-  t1.add_row({"FIFO ThreadPool", sim::fmt(fifo_model, 1), "1.00x",
-              sim::fmt(fifo_s, 3)});
-  t1.add_row({"WorkStealingPool (LPT)", sim::fmt(wsp_model, 1),
+  t1.add_row({"FIFO submission order (model)", sim::fmt(fifo_model, 1), "1.00x", "-"});
+  t1.add_row({"WorkStealingPool start order (LPT)", sim::fmt(wsp_model, 1),
               sim::fmt(speedup, 2) + "x", sim::fmt(wsp_s, 3)});
   std::printf("%s\n", t1.to_string().c_str());
-  std::printf("synthetic mix: %zu tasks, %.0f cost units, straggler last; last WSP "
-              "run: %llu local pops, %llu steals, %llu failed scans, imbalance "
-              "%.3f (sink %llx)\n\n",
-              costs.size(), total_cost,
+  std::printf("synthetic mix: %zu tasks, %.0f cost units, straggler submitted last; "
+              "last run: straggler started #%td, %llu local pops, %llu steals, %llu "
+              "failed scans, imbalance %.3f (sink %llx)\n\n",
+              costs.size(), total_cost, straggler_rank + 1,
               static_cast<unsigned long long>(sched.local_pops),
               static_cast<unsigned long long>(sched.steals),
               static_cast<unsigned long long>(sched.steal_fails), sched.imbalance,
               static_cast<unsigned long long>(sink_sum));
 
-  // --- Section 2: real cells, determinism across pools ------------------
-  std::vector<core::CellResult> fifo_cells;
+  // --- Section 2: real cells, determinism across worker counts ----------
+  std::vector<core::CellResult> serial_cells;
   std::vector<core::CellResult> wsp_cells;
-  double fifo_cells_s = 0.0;
+  double serial_cells_s = 0.0;
   double wsp_cells_s = 0.0;
   {
-    sim::ThreadPool pool(threads);
-    fifo_cells_s = timed_cells(pool, spec, &fifo_cells);
+    sim::WorkStealingPool pool(1);
+    serial_cells_s = timed_cells(pool, spec, &serial_cells);
   }
   {
     sim::WorkStealingPool pool(threads);
     wsp_cells_s = timed_cells(pool, spec, &wsp_cells);
   }
-  if (!same_results(fifo_cells, wsp_cells)) {
-    std::fprintf(stderr, "FATAL: pool choice changed cell statistics\n");
+  if (!same_results(serial_cells, wsp_cells)) {
+    std::fprintf(stderr, "FATAL: worker count changed cell statistics\n");
     return 1;
   }
   // Measured cell cost vs the placement model (workloads::app_cost_weight):
   // the Linux column is where Lulesh's brk churn bites.
   sim::Table tc{{"cell (Linux config)", "wall ms", "model cost"}};
-  for (const core::CellResult& c : fifo_cells) {
+  for (const core::CellResult& c : serial_cells) {
     if (c.config_label != "Linux" || c.from_cache) continue;
     tc.add_row({c.app + " @" + std::to_string(c.nodes), sim::fmt(c.wall_ms, 1),
                 sim::fmt(static_cast<double>(c.nodes) * cell_reps *
-                              workloads::app_cost_weight(c.app),
-                          0)});
+                             workloads::app_cost_weight(c.app),
+                         0)});
   }
   std::printf("%s\n", tc.to_string().c_str());
-  std::printf("real cells (%zu): FIFO %.3f s, WSP %.3f s, statistics identical\n\n",
-              fifo_cells.size(), fifo_cells_s, wsp_cells_s);
+  std::printf("real cells (%zu): 1 worker %.3f s, %d workers %.3f s, statistics "
+              "identical\n\n",
+              serial_cells.size(), serial_cells_s, threads, wsp_cells_s);
 
   // --- Section 3: two concurrent shards over one store, then merge ------
   namespace fs = std::filesystem;
@@ -309,7 +317,7 @@ int main() {
                  static_cast<unsigned long long>(msc.misses));
     return 1;
   }
-  if (!same_results(fifo_cells, merged)) {
+  if (!same_results(serial_cells, merged)) {
     std::fprintf(stderr, "FATAL: merged results differ from direct simulation\n");
     return 1;
   }
@@ -339,12 +347,11 @@ int main() {
   ledger.set_meta("cell_reps", std::to_string(cell_reps));
   ledger.set_meta("timing_reps", std::to_string(reps));
   core::record_campaign(ledger, merge_campaign.telemetry(), threads, &merge_store);
-  ledger.set_host("wall_s_fifo", sim::json_number(fifo_s));
   ledger.set_host("wall_s_wsp", sim::json_number(wsp_s));
   ledger.set_host("makespan_fifo_model", sim::json_number(fifo_model));
   ledger.set_host("makespan_wsp_model", sim::json_number(wsp_model));
   ledger.set_host("sched_speedup", sim::json_number(speedup));
-  ledger.set_host("wall_s_fifo_cells", sim::json_number(fifo_cells_s));
+  ledger.set_host("wall_s_serial_cells", sim::json_number(serial_cells_s));
   ledger.set_host("wall_s_wsp_cells", sim::json_number(wsp_cells_s));
   ledger.set_host("wall_s_shard0", sim::json_number(shard_walls[0]));
   ledger.set_host("wall_s_shard1", sim::json_number(shard_walls[1]));

@@ -14,6 +14,7 @@
 #include "core/campaign.hpp"
 #include "sim/env.hpp"
 #include "sim/format.hpp"
+#include "sim/work_stealing_pool.hpp"
 
 namespace {
 
@@ -37,7 +38,7 @@ int main(int argc, char** argv) {
   const int max_nodes = arg_int(argc, argv, 1, 2048);
   const int reps = arg_int(argc, argv, 2, 5);
 
-  sim::ThreadPool pool;
+  sim::WorkStealingPool pool;
   core::CellCache cache;
   core::Campaign campaign(pool, cache);
 

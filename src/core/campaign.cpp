@@ -206,10 +206,10 @@ std::vector<CellResult> Campaign::run(const CampaignSpec& spec) {
     }
   }
 
-  // Owned-slice fan-out. Costs feed cost-aware pools (LPT placement of the
-  // skewed tail); FIFO pools keep plain submission order. In a sharded run
-  // every simulated cell is claimed first so sibling shards' steal scans
-  // can tell in-flight work (live claim) from unstarted work (no claim).
+  // Owned-slice fan-out. Costs drive LPT placement of the skewed tail. In a
+  // sharded run every simulated cell is claimed first so sibling shards'
+  // steal scans can tell in-flight work (live claim) from unstarted work
+  // (no claim).
   const auto cost_of = [&spec](const Cell& cell) {
     return static_cast<double>(cell.nodes) * static_cast<double>(spec.reps) *
            workloads::app_cost_weight(cell.app);
@@ -290,13 +290,10 @@ std::vector<CellResult> Campaign::run(const CampaignSpec& spec) {
     }
   }
   const auto sched1 = pool_.sched_telemetry();
-  if (sched1.active) {
-    telemetry_.sched_active = true;
-    telemetry_.sched_steals += sched1.steals - sched0.steals;
-    telemetry_.sched_steal_fails += sched1.steal_fails - sched0.steal_fails;
-    telemetry_.sched_local_pops += sched1.local_pops - sched0.local_pops;
-    telemetry_.sched_imbalance = sched1.imbalance;
-  }
+  telemetry_.sched_steals += sched1.steals - sched0.steals;
+  telemetry_.sched_steal_fails += sched1.steal_fails - sched0.steal_fails;
+  telemetry_.sched_local_pops += sched1.local_pops - sched0.local_pops;
+  telemetry_.sched_imbalance = sched1.imbalance;
   if (store != nullptr) {
     const CellStoreCounters claims1 = store->counters();
     telemetry_.sched_claims += claims1.claims - claims0.claims;
@@ -321,11 +318,9 @@ std::string describe(const CampaignTelemetry& t, int threads) {
   table.add_row({"cache hit rate", sim::fmt_pct(t.hit_rate())});
   table.add_row({"wall seconds", sim::fmt(t.wall_seconds, 3)});
   table.add_row({"cells/s", sim::fmt(t.cells_per_second(), 1)});
-  if (t.sched_active) {
-    table.add_row({"sched steals", std::to_string(t.sched_steals)});
-    table.add_row({"sched local pops", std::to_string(t.sched_local_pops)});
-    table.add_row({"sched imbalance", sim::fmt(t.sched_imbalance, 3)});
-  }
+  table.add_row({"sched steals", std::to_string(t.sched_steals)});
+  table.add_row({"sched local pops", std::to_string(t.sched_local_pops)});
+  table.add_row({"sched imbalance", sim::fmt(t.sched_imbalance, 3)});
   if (t.sched_claims > 0 || t.sched_claim_races > 0) {
     table.add_row({"shard claims", std::to_string(t.sched_claims)});
     table.add_row({"shard claim races", std::to_string(t.sched_claim_races)});

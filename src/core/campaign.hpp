@@ -3,9 +3,8 @@
 //
 // A campaign is an (app × config × nodes) cell grid, each cell being `reps`
 // independent simulated runs. The runner fans cells out across a
-// sim::TaskPool — the FIFO ThreadPool by default, or a WorkStealingPool for
-// skewed cell mixes (the pool gets a cost estimate per cell,
-// nodes × reps × app weight, and places the heavy tail first) — and
+// sim::TaskPool (a sim::WorkStealingPool: each cell carries a cost estimate,
+// nodes × reps × app weight, and the heavy tail is placed first) and
 // memoizes finished cells in a CellCache keyed by the cell fingerprint, so
 // benches that share cells (every figure bench reuses the Linux baseline)
 // hit the cache instead of resimulating. Determinism: seeds are positional
@@ -25,7 +24,7 @@
 // then steals unclaimed foreign cells through the store's O_EXCL .claim
 // protocol; a final unsharded run over the warm store is the merge — every
 // cell is a disk hit and the ledger is byte-identical to a single-process
-// run modulo host/campaign.store.*/campaign.sched.*.
+// run modulo the host block and campaign.store.*.
 
 #include <cstdint>
 #include <cstdio>
@@ -192,11 +191,10 @@ struct CampaignTelemetry {
   double wall_seconds = 0.0;     ///< host wall time inside run()
   sim::Histogram cell_wall_ms{1e-3, 1e5, 4};  ///< per simulated cell, host ms
 
-  // Scheduler telemetry (the campaign.sched.* ledger group; host-state
-  // dependent like campaign.store.*, emitted only when a cost-aware pool
-  // ran). Pool counters are per-run deltas of the pool's cumulative totals;
-  // claim counters come from the store's claim protocol.
-  bool sched_active = false;        ///< a cost-aware (work-stealing) pool ran
+  // Scheduler telemetry (campaign.sched.* in the ledger's host block: it
+  // depends on thread timing and on sibling shards). Pool counters are
+  // per-run deltas of the pool's cumulative totals; claim counters come
+  // from the store's claim protocol.
   std::uint64_t sched_steals = 0;       ///< tasks taken from a foreign deque
   std::uint64_t sched_steal_fails = 0;  ///< deque scans that raced to nothing
   std::uint64_t sched_local_pops = 0;   ///< tasks served from the owner deque
@@ -221,15 +219,13 @@ struct CampaignTelemetry {
 class Campaign {
  public:
   /// The cache is borrowed: share one across Campaign instances (and specs)
-  /// to share cells across benches within a process. Any TaskPool works;
-  /// a cost-aware pool (sim::WorkStealingPool) additionally gets LPT
-  /// heaviest-first placement of the cell mix.
+  /// to share cells across benches within a process. Cells are submitted
+  /// heaviest-first (LPT) with their cost estimates.
   Campaign(sim::TaskPool& pool, CellCache& cache);
 
   /// Execute the cell grid. Results come back in deterministic grid order
-  /// (app-major, then config, then nodes), independent of thread count,
-  /// pool kind, and stealing — bit-identical by the positional-seed
-  /// contract.
+  /// (app-major, then config, then nodes), independent of thread count
+  /// and stealing — bit-identical by the positional-seed contract.
   [[nodiscard]] std::vector<CellResult> run(const CampaignSpec& spec);
 
   [[nodiscard]] const CampaignTelemetry& telemetry() const { return telemetry_; }

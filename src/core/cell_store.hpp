@@ -66,8 +66,8 @@ struct CellStoreCounters {
   std::uint64_t bytes_read = 0;      ///< payload+header bytes of served hits
   std::uint64_t bytes_written = 0;   ///< payload+header bytes persisted
   /// Claim-protocol telemetry (sharded sweeps; see try_claim). Reported as
-  /// part of the `campaign.sched.*` group, not `campaign.store.*`: claims
-  /// only happen when the sharded scheduler runs.
+  /// `campaign.sched.*` in the ledger's host block, not `campaign.store.*`:
+  /// claims only happen when the sharded scheduler runs.
   std::uint64_t claims = 0;        ///< claims acquired (fresh or reclaimed)
   std::uint64_t claim_races = 0;   ///< claims lost to a live owner
 };

@@ -72,23 +72,19 @@ void record_campaign(obs::RunLedger& ledger, const CampaignTelemetry& telemetry,
     ledger.incr("campaign.store.bytes_written", c.bytes_written);
     ledger.incr("campaign.store.skipped", telemetry.skipped);
   }
-  // Scheduler group: steal/claim traffic depends on thread timing and on
-  // what sibling shards did — host state, stripped by comparators exactly
-  // like campaign.store.*. Gated on a work-stealing pool having run so
-  // FIFO-pool ledgers keep their exact legacy bytes.
-  if (telemetry.sched_active) {
-    ledger.incr("campaign.sched.steals", telemetry.sched_steals);
-    ledger.incr("campaign.sched.steal_fails", telemetry.sched_steal_fails);
-    ledger.incr("campaign.sched.local_pops", telemetry.sched_local_pops);
-    ledger.incr("campaign.sched.claims", telemetry.sched_claims);
-    ledger.incr("campaign.sched.claim_races", telemetry.sched_claim_races);
-    // The imbalance gauge lives in the host block, not gauges: the ledger's
-    // gauges section is part of the deterministic byte-compare surface and
-    // --strip-counters only filters counters.
-    ledger.set_host("campaign.sched.imbalance",
-                    sim::json_number(telemetry.sched_imbalance));
-  }
-  // Wall time and throughput vary run to run: host block only.
+  // Steal and claim traffic depends on thread timing and on what sibling
+  // shards did: host block only, like wall time and throughput, which vary
+  // run to run.
+  ledger.set_host("campaign.sched.steals", std::to_string(telemetry.sched_steals));
+  ledger.set_host("campaign.sched.steal_fails",
+                  std::to_string(telemetry.sched_steal_fails));
+  ledger.set_host("campaign.sched.local_pops",
+                  std::to_string(telemetry.sched_local_pops));
+  ledger.set_host("campaign.sched.claims", std::to_string(telemetry.sched_claims));
+  ledger.set_host("campaign.sched.claim_races",
+                  std::to_string(telemetry.sched_claim_races));
+  ledger.set_host("campaign.sched.imbalance",
+                  sim::json_number(telemetry.sched_imbalance));
   ledger.set_host("threads", std::to_string(threads));
   ledger.set_host("wall_seconds", sim::json_number(telemetry.wall_seconds));
   ledger.set_host("cells_per_second", sim::json_number(telemetry.cells_per_second()));

@@ -41,7 +41,8 @@ void record_run_stats(obs::RunLedger& ledger, const std::string& series,
 
 /// Campaign runner telemetry: deterministic cell/cache counters, plus the
 /// host-only block (threads, wall seconds, cells/s, per-cell wall-time
-/// histogram — excluded from byte-identity comparisons).
+/// histogram, and the `campaign.sched.*` steal/claim/imbalance figures —
+/// excluded from byte-identity comparisons).
 ///
 /// With a non-null `store`, additionally records the `campaign.store.*`
 /// counter group (hits/misses/writes/corrupt/key_mismatches/bytes_*).

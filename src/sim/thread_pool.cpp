@@ -1,61 +1,17 @@
 #include "sim/thread_pool.hpp"
 
 #include <algorithm>
+#include <condition_variable>
 #include <exception>
 #include <numeric>
+#include <thread>
 
-#include "sim/contracts.hpp"
 #include "sim/env.hpp"
+#include "sim/thread_safety.hpp"
 
 namespace mkos::sim {
 
-void TaskPool::submit_weighted(double cost, Task task) {
-  (void)cost;  // placement hint; FIFO pools have nowhere to aim it
-  submit(std::move(task));
-}
-
-ThreadPool::ThreadPool(int threads) {
-  MKOS_EXPECTS(threads >= 1);
-  workers_.reserve(static_cast<std::size_t>(threads));
-  for (int i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    const MutexLock lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& w : workers_) w.join();
-}
-
-void ThreadPool::submit(Task task) {
-  MKOS_EXPECTS(task != nullptr);
-  {
-    const MutexLock lock(mu_);
-    MKOS_EXPECTS(!stop_);
-    queue_.push_back(std::move(task));
-  }
-  work_cv_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  MutexLock lock(mu_);
-  // Predicate loop (not the lambda overload of cv::wait): the predicate
-  // reads guarded state, and inside this scope the capability analysis can
-  // see the lock is held — a lambda would be analyzed as a separate,
-  // lock-free function.
-  while (!queue_.empty() || running_ != 0) lock.wait(idle_cv_);
-}
-
-std::uint64_t ThreadPool::completed() const {
-  const MutexLock lock(mu_);
-  return completed_;
-}
-
-int ThreadPool::default_threads() {
+int default_threads() {
   // 0 = "unset" sentinel; a literal MKOS_THREADS=0 is rejected as out of range.
   const int n = env_int("MKOS_THREADS", /*fallback=*/0, /*lo=*/1, /*hi=*/4096);
   if (n >= 1) return n;
@@ -63,31 +19,10 @@ int ThreadPool::default_threads() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-void ThreadPool::worker_loop() {
-  while (true) {
-    Task task;
-    {
-      MutexLock lock(mu_);
-      while (!stop_ && queue_.empty()) lock.wait(work_cv_);
-      if (queue_.empty()) return;  // stop_ with a drained queue
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++running_;
-    }
-    task();
-    {
-      const MutexLock lock(mu_);
-      --running_;
-      ++completed_;
-      if (queue_.empty() && running_ == 0) idle_cv_.notify_all();
-    }
-  }
-}
-
 namespace {
 
-/// Join block shared by the parallel_for variants: counts completions and
-/// keeps the first exception for rethrow in the caller.
+/// Join block of one fan-out: counts completions and keeps the first
+/// exception for rethrow in the caller.
 struct Join {
   Mutex mu;
   std::condition_variable cv;
@@ -95,45 +30,11 @@ struct Join {
   std::exception_ptr error MKOS_GUARDED_BY(mu);
 };
 
-void submit_indices(TaskPool& pool, const std::vector<std::size_t>& order,
-                    const std::vector<double>* costs, Join& join,
-                    const std::function<void(std::size_t)>& body) {
-  for (const std::size_t i : order) {
-    auto task = [&join, &body, i] {
-      std::exception_ptr ep;
-      try {
-        body(i);
-      } catch (...) {
-        ep = std::current_exception();
-      }
-      const MutexLock lock(join.mu);
-      if (ep != nullptr && join.error == nullptr) join.error = ep;
-      if (--join.remaining == 0) join.cv.notify_all();
-    };
-    if (costs != nullptr) {
-      pool.submit_weighted((*costs)[i], std::move(task));
-    } else {
-      pool.submit(std::move(task));
-    }
-  }
-  std::exception_ptr error;
-  {
-    MutexLock lock(join.mu);
-    while (join.remaining != 0) lock.wait(join.cv);
-    error = join.error;
-  }
-  if (error != nullptr) std::rethrow_exception(error);
-}
-
 }  // namespace
 
 void parallel_for(TaskPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
-  Join join{.mu = {}, .cv = {}, .remaining = n, .error = nullptr};
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  submit_indices(pool, order, nullptr, join, body);
+  parallel_for_weighted(pool, std::vector<double>(n, 1.0), body);
 }
 
 void parallel_for_weighted(TaskPool& pool, const std::vector<double>& costs,
@@ -143,15 +44,32 @@ void parallel_for_weighted(TaskPool& pool, const std::vector<double>& costs,
   Join join{.mu = {}, .cv = {}, .remaining = n, .error = nullptr};
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
-  if (pool.cost_aware()) {
-    // LPT: heaviest first so the longest chains start as early as possible;
-    // stable on ties so equal-cost work keeps its deterministic index order.
-    std::stable_sort(order.begin(), order.end(),
-                     [&costs](std::size_t a, std::size_t b) {
-                       return costs[a] > costs[b];
-                     });
+  // LPT: heaviest first so the longest chains start as early as possible;
+  // stable on ties so equal-cost work keeps its deterministic index order.
+  std::stable_sort(order.begin(), order.end(),
+                   [&costs](std::size_t a, std::size_t b) {
+                     return costs[a] > costs[b];
+                   });
+  for (const std::size_t i : order) {
+    pool.submit_weighted(costs[i], [&join, &body, i] {
+      std::exception_ptr ep;
+      try {
+        body(i);
+      } catch (...) {
+        ep = std::current_exception();
+      }
+      const MutexLock lock(join.mu);
+      if (ep != nullptr && join.error == nullptr) join.error = ep;
+      if (--join.remaining == 0) join.cv.notify_all();
+    });
   }
-  submit_indices(pool, order, &costs, join, body);
+  std::exception_ptr error;
+  {
+    MutexLock lock(join.mu);
+    while (join.remaining != 0) lock.wait(join.cv);
+    error = join.error;
+  }
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 }  // namespace mkos::sim

@@ -1,24 +1,17 @@
 #pragma once
-// Task pools for the campaign engine.
+// The task-pool seam of the campaign engine.
 //
-// TaskPool is the scheduling seam: the campaign fans cells out through this
-// interface and never learns how the pool places or orders work. Two
-// implementations exist — this file's ThreadPool (one shared FIFO queue, the
-// deliberately simple default) and sim/work_stealing_pool.hpp (per-worker
-// deques with cost-guided placement for skewed cell mixes). Determinism is
-// never the pool's job — tasks derive every random stream from positional
-// seeds and write results into caller-indexed slots, so execution order
-// cannot leak into results; either pool yields bit-identical output.
+// TaskPool is the interface the campaign fans cells out through; it never
+// learns how the pool places or orders work. sim/work_stealing_pool.hpp
+// holds the implementation (per-worker deques with cost-guided placement).
+// Determinism is never the pool's job — tasks derive every random stream
+// from positional seeds and write results into caller-indexed slots, so
+// execution order cannot leak into results at any worker count.
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <thread>
 #include <vector>
-
-#include "sim/thread_safety.hpp"
 
 namespace mkos::sim {
 
@@ -26,10 +19,8 @@ class TaskPool {
  public:
   using Task = std::function<void()>;
 
-  /// Scheduler telemetry snapshot (see WorkStealingPool). `active` is false
-  /// for cost-oblivious pools, whose other fields stay zero.
+  /// Scheduler telemetry snapshot (see WorkStealingPool).
   struct SchedTelemetry {
-    bool active = false;
     std::uint64_t steals = 0;       ///< tasks taken from a foreign deque
     std::uint64_t steal_fails = 0;  ///< full scans that raced to nothing
     std::uint64_t local_pops = 0;   ///< tasks served from the owner's deque
@@ -38,77 +29,37 @@ class TaskPool {
 
   virtual ~TaskPool() = default;
 
-  /// Enqueue a task. Tasks must not throw and must not call back into the
-  /// pool's blocking APIs (wait_idle / parallel_for) — cells are leaves.
-  virtual void submit(Task task) = 0;
+  /// Enqueue a task with a relative execution-cost estimate, which steers
+  /// placement. Tasks must not throw and must not call back into the pool's
+  /// blocking APIs (wait_idle / parallel_for) — cells are leaves.
+  virtual void submit_weighted(double cost, Task task) = 0;
 
-  /// Enqueue with a relative execution-cost estimate. Cost-aware pools use
-  /// it for placement; the base forwards to submit(), dropping the hint.
-  virtual void submit_weighted(double cost, Task task);
-
-  /// Block until the queue is empty AND no task is executing.
+  /// Block until no task is queued AND no task is executing.
   virtual void wait_idle() = 0;
 
   [[nodiscard]] virtual int size() const = 0;
 
-  /// True when submit_weighted's cost actually steers placement — callers
-  /// may then order submissions heaviest-first (LPT) for better makespans.
-  [[nodiscard]] virtual bool cost_aware() const { return false; }
-
   /// Cumulative scheduler counters; meaningful after wait_idle().
-  [[nodiscard]] virtual SchedTelemetry sched_telemetry() const { return {}; }
+  [[nodiscard]] virtual SchedTelemetry sched_telemetry() const = 0;
 };
 
-class ThreadPool final : public TaskPool {
- public:
-  /// Spawns `threads` workers (>= 1). Defaults to `default_threads()`.
-  explicit ThreadPool(int threads = default_threads());
-  ~ThreadPool() override;
+/// `MKOS_THREADS` env var when set (strictly validated: integer in
+/// [1, 4096], anything else is a hard error via sim::env_int), otherwise
+/// `std::thread::hardware_concurrency()`.
+[[nodiscard]] int default_threads();
 
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  void submit(Task task) override MKOS_EXCLUDES(mu_);
-  void wait_idle() override MKOS_EXCLUDES(mu_);
-
-  [[nodiscard]] int size() const override {
-    return static_cast<int>(workers_.size());
-  }
-
-  /// Total tasks completed over the pool's lifetime.
-  [[nodiscard]] std::uint64_t completed() const MKOS_EXCLUDES(mu_);
-
-  /// `MKOS_THREADS` env var when set (strictly validated: integer in
-  /// [1, 4096], anything else is a hard error via sim::env_int), otherwise
-  /// `std::thread::hardware_concurrency()`.
-  [[nodiscard]] static int default_threads();
-
- private:
-  void worker_loop() MKOS_EXCLUDES(mu_);
-
-  mutable Mutex mu_;
-  std::condition_variable work_cv_;   // workers wait for tasks
-  std::condition_variable idle_cv_;   // wait_idle() waits for drain
-  std::deque<Task> queue_ MKOS_GUARDED_BY(mu_);
-  std::vector<std::thread> workers_;  // written in ctor, joined in dtor only
-  std::size_t running_ MKOS_GUARDED_BY(mu_) = 0;
-  std::uint64_t completed_ MKOS_GUARDED_BY(mu_) = 0;
-  bool stop_ MKOS_GUARDED_BY(mu_) = false;
-};
-
-/// Run `body(0..n-1)` across the pool and block until all complete. The first
-/// exception thrown by any body is rethrown in the caller (remaining
-/// iterations still run to completion). Must not be called from inside a
-/// pool task.
+/// parallel_for_weighted at unit cost: every index weighs the same, so
+/// submission stays in index order.
 void parallel_for(TaskPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& body);
 
-/// parallel_for with a per-index cost estimate (`costs.size() == n`). On a
-/// cost-aware pool, indices are submitted heaviest-first (LPT order, ties in
-/// index order) through submit_weighted so the skewed tail starts early; on
-/// a FIFO pool, submission stays in index order — byte-identical scheduling
-/// to plain parallel_for. Results are unaffected either way: bodies write
-/// caller-indexed slots.
+/// Run `body(0..n-1)` across the pool, given a per-index cost estimate
+/// (`costs.size() == n`), and block until all complete. Indices are
+/// submitted heaviest-first (LPT order, ties in index order) through
+/// submit_weighted so the skewed tail starts early. Results are unaffected:
+/// bodies write caller-indexed slots. The first exception thrown by any
+/// body is rethrown in the caller (remaining iterations still run to
+/// completion). Must not be called from inside a pool task.
 void parallel_for_weighted(TaskPool& pool, const std::vector<double>& costs,
                            const std::function<void(std::size_t)>& body);
 

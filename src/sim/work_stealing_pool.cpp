@@ -26,8 +26,6 @@ WorkStealingPool::~WorkStealingPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-void WorkStealingPool::submit(Task task) { submit_weighted(1.0, std::move(task)); }
-
 void WorkStealingPool::submit_weighted(double cost, Task task) {
   MKOS_EXPECTS(task != nullptr);
   // Account the task before it becomes stealable: a worker that grabs it
@@ -151,7 +149,6 @@ std::uint64_t WorkStealingPool::completed() const {
 
 TaskPool::SchedTelemetry WorkStealingPool::sched_telemetry() const {
   SchedTelemetry t;
-  t.active = true;
   {
     const MutexLock lock(mu_);
     t.steals = steals_;

@@ -1,9 +1,8 @@
 #pragma once
-// Work-stealing task pool for skewed campaign cell mixes.
+// The campaign engine's task pool: work stealing over a skewed cell mix.
 //
-// The default ThreadPool's single shared FIFO is fine when cells are fat and
-// uniform, but a design-space sweep's cell costs span orders of magnitude
-// (a 64-node CCS-QCD cell vs a 1-node brk cell), and FIFO order starts the
+// A design-space sweep's cell costs span orders of magnitude (a 64-node
+// CCS-QCD cell vs a 1-node brk cell), and a single shared FIFO starts the
 // heavy tail last — the whole pool then drains while one worker grinds the
 // straggler. This pool keeps one deque per worker:
 //
@@ -19,10 +18,11 @@
 //              campaign cells are coarse (a whole simulated app run), so
 //              mutexes — not Chase–Lev atomics — are the right tradeoff.
 //
-// Determinism: identical to ThreadPool — tasks use positional seeds and
-// write caller-indexed slots, so placement and stealing cannot change a
-// result byte (tests/test_campaign.cpp proves ledger byte-identity).
+// Determinism: tasks use positional seeds and write caller-indexed slots,
+// so placement and stealing cannot change a result byte at any worker count
+// (tests/test_campaign.cpp proves ledger byte-identity).
 
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -37,30 +37,26 @@ namespace mkos::sim {
 class WorkStealingPool final : public TaskPool {
  public:
   /// Spawns `threads` workers (>= 1), one deque each. Defaults to
-  /// `ThreadPool::default_threads()` (MKOS_THREADS).
-  explicit WorkStealingPool(int threads = ThreadPool::default_threads());
+  /// `default_threads()` (MKOS_THREADS).
+  explicit WorkStealingPool(int threads = default_threads());
   ~WorkStealingPool() override;
 
   WorkStealingPool(const WorkStealingPool&) = delete;
   WorkStealingPool& operator=(const WorkStealingPool&) = delete;
 
-  /// submit() is submit_weighted() at unit cost.
-  void submit(Task task) override MKOS_EXCLUDES(mu_);
   void submit_weighted(double cost, Task task) override MKOS_EXCLUDES(mu_);
   void wait_idle() override MKOS_EXCLUDES(mu_);
 
   [[nodiscard]] int size() const override {
     return static_cast<int>(workers_.size());
   }
-  [[nodiscard]] bool cost_aware() const override { return true; }
 
   /// Total tasks completed over the pool's lifetime.
   [[nodiscard]] std::uint64_t completed() const MKOS_EXCLUDES(mu_);
 
-  /// active=true; steals/steal_fails/local_pops are cumulative, imbalance is
-  /// the max/mean executed cost across workers (1.0 = perfectly even, 0 when
-  /// nothing ran). Stable only while the pool is idle — call after
-  /// wait_idle().
+  /// steals/steal_fails/local_pops are cumulative, imbalance is the max/mean
+  /// executed cost across workers (1.0 = perfectly even, 0 when nothing
+  /// ran). Stable only while the pool is idle — call after wait_idle().
   [[nodiscard]] SchedTelemetry sched_telemetry() const override
       MKOS_EXCLUDES(mu_);
 

@@ -20,6 +20,7 @@
 #include "mem/phys_allocator.hpp"
 #include "sim/thread_pool.hpp"
 #include "sim/units.hpp"
+#include "sim/work_stealing_pool.hpp"
 #include "workloads/app.hpp"
 
 namespace {
@@ -315,7 +316,7 @@ TEST(AllocModel, SerialAndPooledSweepLedgersAreByteIdentical) {
   obs::RunLedger serial;
   (void)core::scaling_sweep(*app, config, kReps, kSeed, kMaxNodes, &serial);
 
-  sim::ThreadPool pool{8};
+  sim::WorkStealingPool pool{8};
   obs::RunLedger pooled;
   (void)core::scaling_sweep("XSBench/interleave", config, kReps, kSeed, pool,
                             kMaxNodes, &pooled);

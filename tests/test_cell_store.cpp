@@ -17,7 +17,10 @@
 
 #include "core/campaign.hpp"
 #include "core/cell_store.hpp"
+#include "core/obs_glue.hpp"
+#include "sim/json.hpp"
 #include "sim/thread_pool.hpp"
+#include "sim/work_stealing_pool.hpp"
 
 namespace {
 
@@ -109,7 +112,7 @@ TEST(CellStore, ColdComputeEqualsWarmLoadThroughTheCampaign) {
   spec.seed = 7;
 
   // Cold: simulate and persist.
-  sim::ThreadPool pool(2);
+  sim::WorkStealingPool pool(2);
   CellStore cold_store(tmp.path());
   CellCache cold_cache(&cold_store);
   Campaign cold(pool, cold_cache);
@@ -253,7 +256,7 @@ TEST(CellStore, ResumeSkipsStoredCellsWithoutLoadingThem) {
   spec.reps = 1;
   spec.seed = 3;
 
-  sim::ThreadPool pool(2);
+  sim::WorkStealingPool pool(2);
   CellStore seed_store(tmp.path());
   CellCache seed_cache(&seed_store);
   Campaign seeder(pool, seed_cache);
@@ -352,7 +355,7 @@ TEST(CellStore, ClaimsDoNotBlockUnshardedRuns) {
       "MiniFE", SystemConfig::mckernel(), 16, spec.reps, spec.seed);
   ASSERT_EQ(store.try_claim(key), CellStore::ClaimOutcome::kAcquired);
 
-  sim::ThreadPool pool(2);
+  sim::WorkStealingPool pool(2);
   CellCache cache(&store);
   Campaign campaign(pool, cache);
   const auto cells = campaign.run(spec);
@@ -417,7 +420,7 @@ TEST(CellStore, ShardedRunsMergeByteIdenticalToDirectSimulation) {
   spec.seed = 17;
 
   // Reference: direct unsharded simulation, no store.
-  sim::ThreadPool pool(2);
+  sim::WorkStealingPool pool(2);
   CellCache direct_cache;
   Campaign direct(pool, direct_cache);
   const auto reference = direct.run(spec);
@@ -480,7 +483,7 @@ TEST(CellStore, ShardStealsUnclaimedForeignCellsThroughTheStore) {
   ASSERT_GT(foreign_count, 0u);
   ASSERT_LT(foreign_count, 4u);
 
-  sim::ThreadPool pool(2);
+  sim::WorkStealingPool pool(2);
   CellStore store(tmp.path());
   CellCache cache(&store);
   Campaign campaign(pool, cache);
@@ -493,9 +496,19 @@ TEST(CellStore, ShardStealsUnclaimedForeignCellsThroughTheStore) {
   const CampaignTelemetry& t = campaign.telemetry();
   EXPECT_EQ(t.stolen_cells, foreign_count);
   EXPECT_EQ(t.foreign_skipped, 0u);
-  // Every simulated cell — owned or stolen — was claimed exactly once.
+  // Every simulated cell — owned or stolen — was claimed exactly once, and
+  // the ledger's host block carries the claims.
   EXPECT_EQ(t.sched_claims, 4u);
   EXPECT_EQ(t.sched_claim_races, 0u);
+  obs::RunLedger ledger;
+  record_campaign(ledger, t, pool.size(), &store);
+  const auto doc = sim::json_parse(ledger.to_json());
+  ASSERT_TRUE(doc.has_value());
+  const sim::JsonValue* host = doc->find("host");
+  ASSERT_NE(host, nullptr);
+  const sim::JsonValue* claims = host->find("campaign.sched.claims");
+  ASSERT_NE(claims, nullptr);
+  EXPECT_EQ(claims->as_u64().value_or(0), 4u);
 }
 
 // --------------------------------------------------------------- plumbing

@@ -14,6 +14,7 @@
 #include "core/obs_glue.hpp"
 #include "kernel/noise.hpp"
 #include "runtime/simmpi.hpp"
+#include "sim/work_stealing_pool.hpp"
 #include "workloads/app.hpp"
 
 namespace {
@@ -487,7 +488,7 @@ TEST(LedgerDeterminism, SerialAndPooledCampaignsRenderIdenticalJson) {
   spec.max_nodes = 16;
 
   auto render = [&spec](int threads) {
-    sim::ThreadPool pool(threads);
+    sim::WorkStealingPool pool(threads);
     core::CellCache cache;
     core::Campaign campaign(pool, cache);
     const auto cells = campaign.run(spec);

@@ -16,6 +16,7 @@
 #include "runtime/resilience.hpp"
 #include "runtime/simmpi.hpp"
 #include "sim/thread_pool.hpp"
+#include "sim/work_stealing_pool.hpp"
 #include "workloads/app.hpp"
 
 namespace {
@@ -433,7 +434,7 @@ TEST(Resilience, SerialAndPooledLedgersAreByteIdenticalUnderFaults) {
   config.resilience = chaotic_spec();
   auto app = workloads::make_app("MiniFE");
   const core::RunStats serial = core::run_app(*app, config, 8, 4, 42);
-  sim::ThreadPool pool{4};
+  sim::WorkStealingPool pool{4};
   const core::RunStats pooled = core::run_app("MiniFE", config, 8, 4, 42, pool);
   EXPECT_EQ(serial.fom.samples(), pooled.fom.samples());
   EXPECT_EQ(serial.ledger.to_json(), pooled.ledger.to_json());

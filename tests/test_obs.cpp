@@ -11,6 +11,7 @@
 #include "core/experiment.hpp"
 #include "obs/ledger.hpp"
 #include "sim/thread_pool.hpp"
+#include "sim/work_stealing_pool.hpp"
 #include "strict_json.hpp"
 #include "workloads/app.hpp"
 
@@ -257,7 +258,7 @@ TEST(RunLedger, SerialAndPooledSweepLedgersAreByteIdentical) {
   obs::RunLedger serial;
   (void)core::scaling_sweep(*app, config, kReps, kSeed, kMaxNodes, &serial);
 
-  sim::ThreadPool pool{4};
+  sim::WorkStealingPool pool{4};
   obs::RunLedger pooled;
   (void)core::scaling_sweep("MiniFE", config, kReps, kSeed, pool, kMaxNodes, &pooled);
 
