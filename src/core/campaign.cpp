@@ -1,6 +1,7 @@
 #include "core/campaign.hpp"
 
 #include <chrono>
+#include <utility>
 
 #include "sim/contracts.hpp"
 #include "sim/format.hpp"
@@ -17,37 +18,37 @@ double elapsed_ms(std::chrono::steady_clock::time_point since) {
 
 }  // namespace
 
-std::optional<RunStats> CellCache::lookup(std::uint64_t key, const CellKey& id,
-                                          bool* from_disk) {
-  if (from_disk != nullptr) *from_disk = false;
+std::optional<RunStats> CellCache::find(std::uint64_t key, const CellKey& id) {
+  const sim::MutexLock lock(mu_);
+  const auto it = cells_.find(key);
+  if (it == cells_.end()) return std::nullopt;
+  if (!(it->second.id == id)) {
+    // Hash collision: the slot holds a different cell. Do not serve it; the
+    // caller's load() asks the disk tier, which verifies the stored key
+    // itself, and a miss there makes the caller recompute.
+    ++collisions_;
+    return std::nullopt;
+  }
+  ++hits_;
+  return it->second.stats;
+}
+
+std::optional<RunStats> CellCache::load(std::uint64_t key, const CellKey& id) {
+  std::optional<RunStats> loaded;
+  if (store_ != nullptr) loaded = store_->load(key, id);
+  if (!loaded) {
+    const sim::MutexLock lock(mu_);
+    ++misses_;
+    return std::nullopt;
+  }
+  // Workers load concurrently: copy the entry before taking the mutex.
+  Entry entry{id, *loaded};
   {
     const sim::MutexLock lock(mu_);
-    const auto it = cells_.find(key);
-    if (it != cells_.end()) {
-      if (it->second.id == id) {
-        ++hits_;
-        return it->second.stats;
-      }
-      // Hash collision: the slot holds a different cell. Do not serve it —
-      // fall through to the disk tier (which verifies the stored key
-      // itself) and, failing that, report a miss so the caller recomputes.
-      ++collisions_;
-    }
+    cells_.insert_or_assign(key, std::move(entry));
+    ++hits_;
   }
-  if (store_ != nullptr) {
-    if (auto loaded = store_->load(key, id)) {
-      {
-        const sim::MutexLock lock(mu_);
-        cells_.insert_or_assign(key, Entry{id, *loaded});
-        ++hits_;
-      }
-      if (from_disk != nullptr) *from_disk = true;
-      return loaded;
-    }
-  }
-  const sim::MutexLock lock(mu_);
-  ++misses_;
-  return std::nullopt;
+  return loaded;
 }
 
 void CellCache::store(std::uint64_t key, const CellKey& id, const RunStats& stats) {
@@ -160,19 +161,20 @@ std::vector<CellResult> Campaign::run(const CampaignSpec& spec) {
     return true;
   }());
 
-  // Resolve cache hits up front and dedupe identical cells within this run:
-  // the first occurrence of a key simulates, later ones are cache hits by
-  // construction (their results are copied after the fan-out completes).
-  // Telemetry splits hits by tier: memory hits and in-run dups are a pure
-  // function of the request sequence (deterministic counter), disk-store
-  // hits depend on what previous processes left behind (host state).
-  std::vector<const Cell*> to_simulate;
+  // Serial prologue, in grid order: shard filter, in-run dedupe by key,
+  // then a memory-tier probe of each first occurrence. Memory hits are a
+  // pure function of the request sequence, so resolving them here, before
+  // any worker fills the tier, keeps the deterministic cache_hits counter
+  // independent of scheduling. A hit is one copy, moved into its result.
+  // Resume skips the probe: its tasks consult contains() on both tiers.
+  std::vector<const Cell*> pending;  // owned first occurrences not served yet
   std::vector<const Cell*> foreign;  // sharded: another process's slice
   std::unordered_map<std::uint64_t, std::size_t> first_occurrence;
   std::vector<std::pair<std::size_t, std::size_t>> duplicates;  // (dst, src) indices
-  std::uint64_t memory_hits = 0;
-  std::uint64_t disk_hits = 0;
-  std::uint64_t skipped = 0;
+  // How each result was resolved; written by its own task, tallied after
+  // the join in grid order.
+  enum class Served : std::uint8_t { kNone, kMemory, kDisk, kResumed, kSimulated };
+  std::vector<Served> served(results.size(), Served::kNone);
   for (const Cell& cell : grid) {
     if (spec.shard.sharded() &&
         cell.key % static_cast<std::uint64_t>(spec.shard.count) !=
@@ -184,32 +186,28 @@ std::vector<CellResult> Campaign::run(const CampaignSpec& spec) {
       foreign.push_back(&cell);
       continue;
     }
-    if (spec.resume && cache_.contains(cell.key, cell.id)) {
-      results[cell.result_index].skipped = true;
-      ++skipped;
-      continue;
-    }
-    bool from_disk = false;
-    if (const auto cached = cache_.lookup(cell.key, cell.id, &from_disk)) {
-      results[cell.result_index].stats = *cached;
-      results[cell.result_index].from_cache = true;
-      ++(from_disk ? disk_hits : memory_hits);
-      continue;
-    }
     const auto [it, inserted] = first_occurrence.try_emplace(cell.key, cell.result_index);
-    if (inserted) {
-      to_simulate.push_back(&cell);
-    } else {
+    if (!inserted) {
       duplicates.emplace_back(cell.result_index, it->second);
-      results[cell.result_index].from_cache = true;
-      ++memory_hits;
+      continue;
     }
+    if (!spec.resume) {
+      if (auto cached = cache_.find(cell.key, cell.id)) {
+        results[cell.result_index].stats = std::move(*cached);
+        results[cell.result_index].from_cache = true;
+        served[cell.result_index] = Served::kMemory;
+        continue;
+      }
+    }
+    pending.push_back(&cell);
   }
 
-  // Owned-slice fan-out. Costs drive LPT placement of the skewed tail. In a
-  // sharded run every simulated cell is claimed first so sibling shards'
-  // steal scans can tell in-flight work (live claim) from unstarted work
-  // (no claim).
+  // Owned-slice fan-out: one task per pending cell checks resume, loads the
+  // cell from the store, or simulates it — so disk loads scale with workers
+  // and a corrupt entry is recomputed by the task that found it. Costs drive
+  // LPT placement of the skewed tail. In a sharded run every simulated cell
+  // is claimed first so sibling shards' steal scans can tell in-flight work
+  // (live claim) from unstarted work (no claim).
   const auto cost_of = [&spec](const Cell& cell) {
     return static_cast<double>(cell.nodes) * static_cast<double>(spec.reps) *
            workloads::app_cost_weight(cell.app);
@@ -225,20 +223,33 @@ std::vector<CellResult> Campaign::run(const CampaignSpec& spec) {
     cache_.store(cell.key, cell.id, out.stats);
   };
   std::vector<double> costs;
-  costs.reserve(to_simulate.size());
-  for (const Cell* cell : to_simulate) costs.push_back(cost_of(*cell));
+  costs.reserve(pending.size());
+  for (const Cell* cell : pending) costs.push_back(cost_of(*cell));
   sim::parallel_for_weighted(pool_, costs, [&](std::size_t i) {
-    const Cell& cell = *to_simulate[i];
-    if (use_claims) {
-      if (store->try_claim(cell.key) != CellStore::ClaimOutcome::kAcquired) {
-        // A sibling shard stole this cell; its entry lands in the shared
-        // store and the merge pass serves it from there.
-        results[cell.result_index].skipped = true;
-        return;
-      }
+    const Cell& cell = *pending[i];
+    CellResult& out = results[cell.result_index];
+    Served& how = served[cell.result_index];
+    if (spec.resume && cache_.contains(cell.key, cell.id)) {
+      out.skipped = true;
+      how = Served::kResumed;
+      return;
+    }
+    if (auto loaded = cache_.load(cell.key, cell.id)) {
+      out.stats = std::move(*loaded);
+      out.from_cache = true;
+      how = Served::kDisk;
+      return;
+    }
+    if (use_claims &&
+        store->try_claim(cell.key) != CellStore::ClaimOutcome::kAcquired) {
+      // A sibling shard stole this cell; its entry lands in the shared
+      // store and the merge pass serves it from there.
+      out.skipped = true;
+      return;
     }
     simulate_cell(cell);
     if (use_claims) store->release_claim(cell.key);
+    how = Served::kSimulated;
   });
 
   // Steal phase: this shard is out of owned work — scan the foreign slice
@@ -274,21 +285,43 @@ std::vector<CellResult> Campaign::run(const CampaignSpec& spec) {
     }
   }
 
+  // Duplicates copy their first occurrence and count as memory hits, except
+  // behind a resumed first occurrence: those are skipped too.
   for (const auto& [dst, src] : duplicates) {
+    if (served[src] == Served::kResumed) {
+      results[dst].skipped = true;
+      served[dst] = Served::kResumed;
+      continue;
+    }
     results[dst].stats = results[src].stats;
     results[dst].skipped = results[src].skipped;
+    results[dst].from_cache = true;
+    served[dst] = Served::kMemory;
   }
 
-  telemetry_.cells += grid.size();
-  telemetry_.cache_hits += memory_hits;
-  telemetry_.store_hits += disk_hits;
-  telemetry_.skipped += skipped;
-  telemetry_.wall_seconds += elapsed_ms(started) / 1e3;
-  for (const Cell* cell : to_simulate) {
-    if (!results[cell->result_index].skipped) {
-      telemetry_.cell_wall_ms.add(results[cell->result_index].wall_ms);
+  // Memory hits and in-run duplicates are a pure function of the request
+  // sequence (the deterministic cache_hits counter); disk hits depend on
+  // what earlier processes left in the store (host state).
+  for (const Cell& cell : grid) {
+    switch (served[cell.result_index]) {
+      case Served::kMemory:
+        ++telemetry_.cache_hits;
+        break;
+      case Served::kDisk:
+        ++telemetry_.store_hits;
+        break;
+      case Served::kResumed:
+        ++telemetry_.skipped;
+        break;
+      case Served::kSimulated:
+        telemetry_.cell_wall_ms.add(results[cell.result_index].wall_ms);
+        break;
+      case Served::kNone:
+        break;
     }
   }
+  telemetry_.cells += grid.size();
+  telemetry_.wall_seconds += elapsed_ms(started) / 1e3;
   const auto sched1 = pool_.sched_telemetry();
   telemetry_.sched_steals += sched1.steals - sched0.steals;
   telemetry_.sched_steal_fails += sched1.steal_fails - sched0.steal_fails;

@@ -13,10 +13,14 @@
 //
 // The cache is two-tier: an in-memory map always, plus an optional
 // disk-backed CellStore (core/cell_store.hpp) attached at construction.
-// Lookups read through (memory → disk → miss), stores write through; a
-// disk hit populates the memory tier. Every tier stores the full CellKey
-// next to the 64-bit hash and verifies it on hit, so a fingerprint
-// collision is a detected miss, never the wrong cell's statistics.
+// Each tier is resolved where it is cheap: Campaign::run probes the memory
+// tier (CellCache::find) inline, in grid order, before the fan-out; every
+// owned cell it does not serve becomes one pool task that loads the cell
+// from the store (CellCache::load) or, failing that, simulates it. Stores
+// write through; a disk hit populates the memory tier. Every tier stores
+// the full CellKey next to the 64-bit hash and verifies it on hit, so a
+// fingerprint collision is a detected miss, never the wrong cell's
+// statistics.
 //
 // Sharding (DESIGN.md §16): MKOS_SHARD=<i>/<n> splits the cell keyspace
 // deterministically (a cell belongs to shard key % n) so n processes over
@@ -55,13 +59,18 @@ class CellCache {
   /// store must outlive the cache.
   explicit CellCache(CellStore* store) : store_(store) {}
 
-  /// Two-tier read-through. On a hash collision (entry present under `key`
-  /// but with a different CellKey) the memory entry is not trusted: the
-  /// collision is counted and the lookup falls through to the disk tier —
-  /// which performs its own key verification — then to a miss. Sets
-  /// `*from_disk` (when non-null) iff the hit was served by the store.
-  [[nodiscard]] std::optional<RunStats> lookup(std::uint64_t key, const CellKey& id,
-                                               bool* from_disk = nullptr)
+  /// Memory tier only: a copy of the entry under `key` when it holds `id`.
+  /// On a hash collision (entry present under `key` but with a different
+  /// CellKey) the entry is not trusted: the collision is counted and the
+  /// probe misses, so the caller goes on to load(). Counts hits and
+  /// collisions; a miss is counted by the load() that follows.
+  [[nodiscard]] std::optional<RunStats> find(std::uint64_t key, const CellKey& id)
+      MKOS_EXCLUDES(mu_);
+  /// Disk tier only: the store's verified entry (CellStore::load checks the
+  /// header, checksum, schema and full key), which then fills the memory
+  /// tier. Counts a hit, or a miss when no store is attached or the entry
+  /// is absent, corrupt or another cell's.
+  [[nodiscard]] std::optional<RunStats> load(std::uint64_t key, const CellKey& id)
       MKOS_EXCLUDES(mu_);
   /// Write-through: memory immediately, then the store (best-effort, I/O
   /// outside the cache mutex). Colliding keys are last-writer-wins.
@@ -76,7 +85,9 @@ class CellCache {
 
   [[nodiscard]] CellStore* disk() const { return store_; }
   [[nodiscard]] std::size_t size() const MKOS_EXCLUDES(mu_);
+  /// find() and load() hits, either tier.
   [[nodiscard]] std::uint64_t hits() const MKOS_EXCLUDES(mu_);
+  /// load() misses: cells neither tier served.
   [[nodiscard]] std::uint64_t misses() const MKOS_EXCLUDES(mu_);
   /// Memory-tier hash collisions detected (key verified, id differed).
   [[nodiscard]] std::uint64_t collisions() const MKOS_EXCLUDES(mu_);

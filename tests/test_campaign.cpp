@@ -412,19 +412,22 @@ TEST(CellCache, FingerprintCollisionIsAMissNotTheWrongCell) {
   const CellKey b{"HPCG", SystemConfig::mos().digest(), 32, 2, 5};
 
   cache.store(key, a, stats);
-  ASSERT_TRUE(cache.lookup(key, a).has_value());
+  ASSERT_TRUE(cache.find(key, a).has_value());
   EXPECT_EQ(cache.collisions(), 0u);
 
   // The colliding cell must read as a miss, not as MiniFE's statistics.
-  EXPECT_FALSE(cache.lookup(key, b).has_value());
+  EXPECT_FALSE(cache.find(key, b).has_value());
   EXPECT_EQ(cache.collisions(), 1u);
   EXPECT_TRUE(cache.contains(key, a));
   EXPECT_FALSE(cache.contains(key, b));
+  // No disk tier: the load that follows a memory miss misses too.
+  EXPECT_FALSE(cache.load(key, b).has_value());
+  EXPECT_EQ(cache.misses(), 1u);
 
   // Recompute-and-store is last-writer-wins on the colliding slot.
   cache.store(key, b, stats);
-  EXPECT_FALSE(cache.lookup(key, a).has_value());
-  EXPECT_TRUE(cache.lookup(key, b).has_value());
+  EXPECT_FALSE(cache.find(key, a).has_value());
+  EXPECT_TRUE(cache.find(key, b).has_value());
   EXPECT_EQ(cache.collisions(), 2u);
 }
 

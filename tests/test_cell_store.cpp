@@ -1,7 +1,7 @@
 // Unit tests for the persistent cell store (core/cell_store.*): exact
 // round-trip fidelity, corruption detection (truncation, bad checksum,
-// wrong schema version, zero-length entries), quarantine semantics, hash
-// collisions on disk, and the resumable-sweep mode.
+// wrong schema version, zero-length entries, seeded mutations), quarantine
+// semantics, hash collisions on disk, and the resumable-sweep mode.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -19,6 +20,7 @@
 #include "core/cell_store.hpp"
 #include "core/obs_glue.hpp"
 #include "sim/json.hpp"
+#include "sim/rng.hpp"
 #include "sim/thread_pool.hpp"
 #include "sim/work_stealing_pool.hpp"
 
@@ -49,6 +51,20 @@ std::string read_file(const std::string& path) {
 void write_file(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << bytes;
+}
+
+/// `payload` behind the header a valid writer would give it (length and
+/// FNV-1a checksum recomputed), so only checks past the header can reject it.
+std::string signed_entry(const std::string& payload) {
+  std::uint64_t crc = 0xcbf29ce484222325ULL;
+  for (const char ch : payload) {
+    crc ^= static_cast<unsigned char>(ch);
+    crc *= 0x100000001b3ULL;
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(crc));
+  return "mkos-cell v1 len=" + std::to_string(payload.size()) + " crc=" + hex + "\n" +
+         payload;
 }
 
 /// A cell with every ledger section populated, including values that
@@ -121,11 +137,16 @@ TEST(CellStore, ColdComputeEqualsWarmLoadThroughTheCampaign) {
   EXPECT_EQ(cold_store.counters().writes, 2u);
 
   // Warm: a fresh cache + store over the same directory must serve every
-  // cell from disk, bit-identical to the computed results.
+  // cell from disk, bit-identical to the computed results. Each disk load
+  // is one pool task.
   CellStore warm_store(tmp.path());
   CellCache warm_cache(&warm_store);
   Campaign warm(pool, warm_cache);
+  pool.wait_idle();
+  const std::uint64_t tasks_before_warm = pool.completed();
   const auto loaded = warm.run(spec);
+  pool.wait_idle();
+  EXPECT_EQ(pool.completed() - tasks_before_warm, 2u);
   ASSERT_EQ(loaded.size(), computed.size());
   for (std::size_t i = 0; i < computed.size(); ++i) {
     EXPECT_TRUE(loaded[i].from_cache);
@@ -138,6 +159,21 @@ TEST(CellStore, ColdComputeEqualsWarmLoadThroughTheCampaign) {
   // Store hits are host-state telemetry, not deterministic cache hits.
   EXPECT_EQ(warm.telemetry().store_hits, 2u);
   EXPECT_EQ(warm.telemetry().cache_hits, 0u);
+
+  // A third pass is served by the memory tier the loads filled: inline,
+  // before the fan-out, so no pool task runs and the disk is not read.
+  const std::uint64_t tasks_before_memory = pool.completed();
+  const auto remembered = warm.run(spec);
+  pool.wait_idle();
+  EXPECT_EQ(pool.completed() - tasks_before_memory, 0u);
+  EXPECT_EQ(warm.telemetry().cache_hits, 2u);
+  EXPECT_EQ(warm.telemetry().store_hits, 2u);
+  EXPECT_EQ(warm_store.counters().hits, 2u);
+  ASSERT_EQ(remembered.size(), computed.size());
+  for (std::size_t i = 0; i < computed.size(); ++i) {
+    EXPECT_TRUE(remembered[i].from_cache);
+    EXPECT_EQ(remembered[i].stats.ledger.to_json(), computed[i].stats.ledger.to_json());
+  }
 }
 
 // ------------------------------------------------------------- corruption
@@ -190,15 +226,7 @@ TEST(CellStore, WrongSchemaVersionIsRejected) {
   const std::size_t at = payload.find(needle);
   ASSERT_NE(at, std::string::npos);
   payload.replace(at, needle.size(), "\"schema_version\": 2");
-  std::uint64_t crc = 0xcbf29ce484222325ULL;
-  for (const char ch : payload) {
-    crc ^= static_cast<unsigned char>(ch);
-    crc *= 0x100000001b3ULL;
-  }
-  char hex[17];
-  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(crc));
-  write_file(path, "mkos-cell v1 len=" + std::to_string(payload.size()) +
-                       " crc=" + hex + "\n" + payload);
+  write_file(path, signed_entry(payload));
 
   EXPECT_FALSE(store.load(kKey, make_key()).has_value());
   EXPECT_EQ(store.counters().corrupt, 1u);
@@ -227,6 +255,91 @@ TEST(CellStore, ForeignFormatVersionIsCorrupt) {
   EXPECT_EQ(store.counters().corrupt, 1u);
 }
 
+TEST(CellStore, MutatedEntriesNeverCrashOrServeAnotherCell) {
+  // Seeded mutation sweep over the cell-file reader, which pool workers
+  // run concurrently: bit flips, truncations and inserted or deleted bytes,
+  // in the header and in the payload. Odd mutants keep the stale header,
+  // which must reject them; even ones mutate the payload and are re-signed,
+  // so sim::json_parse and the ledger storage codec see the hostile bytes.
+  // Any input must read as a verified hit or a clean miss.
+  const StoreDir tmp("mutation");
+  CellStore store(tmp.path());
+  ASSERT_TRUE(store.save(kKey, make_key(), make_stats()));
+  const std::string path = store.entry_path(kKey);
+  const std::string valid = read_file(path);
+  const std::size_t eol = valid.find('\n');
+  ASSERT_NE(eol, std::string::npos);
+  const std::string payload = valid.substr(eol + 1);
+  CellKey other = make_key();
+  other.app = "HPCG";  // no single-byte edit turns "MiniFE" into "HPCG"
+
+  // One mutation of `bytes` at a position drawn from [lo, hi).
+  sim::Rng rng(0x5EEDCE11ULL);
+  const auto mutate = [&rng](std::string bytes, std::size_t lo, std::size_t hi) {
+    const std::size_t at = lo + rng.uniform_index(hi - lo);
+    switch (rng.uniform_index(4)) {
+      case 0:  // bit flip
+        bytes[at] = static_cast<char>(bytes[at] ^ (1 << rng.uniform_index(8)));
+        break;
+      case 1:  // truncation
+        bytes.resize(at);
+        break;
+      case 2:  // inserted byte
+        bytes.insert(at, 1, static_cast<char>(rng.uniform_index(256)));
+        break;
+      default:  // deleted byte
+        bytes.erase(at, 1);
+        break;
+    }
+    return bytes;
+  };
+  const auto served = [&store] {
+    const CellStoreCounters c = store.counters();
+    return c.hits + c.misses;
+  };
+
+  constexpr int kMutations = 2000;
+  int signed_hits = 0;
+  int signed_misses = 0;
+  for (int m = 0; m < kMutations; ++m) {
+    const bool resign = m % 2 == 0;
+    const bool in_header = !resign && rng.uniform_index(2) == 0;
+    const std::string mutant =
+        resign      ? signed_entry(mutate(payload, 0, payload.size()))
+        : in_header ? mutate(valid, 0, eol + 1)
+                    : mutate(valid, eol + 1, valid.size());
+    write_file(path, mutant);
+
+    // Another cell's key first: a key mismatch leaves the entry in place
+    // (anything corrupt is quarantined, as it would be for our own key).
+    std::uint64_t before = served();
+    std::optional<RunStats> foreign;
+    ASSERT_NO_THROW(foreign = store.load(kKey, other)) << "mutation " << m;
+    ASSERT_FALSE(foreign.has_value()) << "mutation " << m;
+    ASSERT_EQ(served(), before + 1) << "mutation " << m;
+
+    before = served();
+    std::optional<RunStats> own;
+    ASSERT_NO_THROW(own = store.load(kKey, make_key())) << "mutation " << m;
+    ASSERT_EQ(served(), before + 1) << "mutation " << m;
+    if (!resign) {
+      ASSERT_FALSE(own.has_value()) << "unsigned mutation " << m << " was served";
+    } else if (own.has_value()) {
+      ++signed_hits;
+      std::string rendered;
+      ASSERT_NO_THROW(rendered = own->ledger.to_json()) << "mutation " << m;
+      ASSERT_FALSE(rendered.empty()) << "mutation " << m;
+    } else {
+      ++signed_misses;
+    }
+  }
+  // Both outcomes occur among the re-signed mutants, so the parser and the
+  // codec really ran on hostile bytes.
+  EXPECT_GT(signed_hits, 0);
+  EXPECT_GT(signed_misses, 0);
+  EXPECT_GT(store.counters().corrupt, 0u);
+}
+
 // -------------------------------------------------------------- collisions
 
 TEST(CellStore, OnDiskKeyMismatchIsAMissNotQuarantine) {
@@ -251,7 +364,9 @@ TEST(CellStore, ResumeSkipsStoredCellsWithoutLoadingThem) {
   const StoreDir tmp("resume");
   CampaignSpec spec;
   spec.apps = {"MiniFE"};
-  spec.configs = {SystemConfig::linux_default(), SystemConfig::mckernel()};
+  // The Linux column twice: its duplicate follows the first occurrence.
+  spec.configs = {SystemConfig::linux_default(), SystemConfig::linux_default(),
+                  SystemConfig::mckernel()};
   spec.nodes = {16};
   spec.reps = 1;
   spec.seed = 3;
@@ -271,18 +386,24 @@ TEST(CellStore, ResumeSkipsStoredCellsWithoutLoadingThem) {
   CampaignSpec resume = spec;
   resume.resume = true;
   const auto cells = campaign.run(resume);
-  ASSERT_EQ(cells.size(), 2u);
-  EXPECT_TRUE(cells[0].skipped);              // Linux: already stored
-  EXPECT_EQ(cells[0].stats.fom.count(), 0u);  // nothing loaded
-  EXPECT_FALSE(cells[1].skipped);             // McKernel: simulated now
-  EXPECT_GT(cells[1].stats.fom.count(), 0u);
-  EXPECT_EQ(campaign.telemetry().skipped, 1u);
+  ASSERT_EQ(cells.size(), 3u);
+  for (const std::size_t linux_cell : {0u, 1u}) {
+    EXPECT_TRUE(cells[linux_cell].skipped);              // already stored
+    EXPECT_FALSE(cells[linux_cell].from_cache);          // skipped, not served
+    EXPECT_EQ(cells[linux_cell].stats.fom.count(), 0u);  // nothing loaded
+  }
+  EXPECT_FALSE(cells[2].skipped);  // McKernel: simulated now
+  EXPECT_GT(cells[2].stats.fom.count(), 0u);
+  EXPECT_EQ(campaign.telemetry().skipped, 2u);
+  EXPECT_EQ(campaign.telemetry().cache_hits, 0u);
+  // The duplicate is resolved from its first occurrence, not probed again.
+  EXPECT_EQ(store.counters().hits, 1u);
 
   // A second resume pass over the now-complete store skips everything.
   const auto again = campaign.run(resume);
-  EXPECT_TRUE(again[0].skipped);
-  EXPECT_TRUE(again[1].skipped);
-  EXPECT_EQ(campaign.telemetry().skipped, 3u);
+  for (const CellResult& cell : again) EXPECT_TRUE(cell.skipped);
+  EXPECT_EQ(campaign.telemetry().skipped, 5u);
+  EXPECT_EQ(campaign.telemetry().cache_hits, 0u);
 }
 
 // ------------------------------------------------------------------ claims
