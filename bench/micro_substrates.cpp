@@ -16,6 +16,7 @@
 #include "obs/snapshots.hpp"
 #include "runtime/noise_extremes.hpp"
 #include "runtime/simmpi.hpp"
+#include "sim/event_queue.hpp"
 
 namespace {
 

@@ -17,7 +17,6 @@ const char* kind_name(mkos::runtime::MpiWorld::SyncKind k) {
   switch (k) {
     case K::kAllreduce: return "allreduce";
     case K::kHalo: return "halo";
-    case K::kShift: return "shift";
     case K::kFinish: return "finish";
   }
   return "?";

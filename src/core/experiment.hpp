@@ -6,9 +6,10 @@
 //
 // Seeds are positional: every repetition's RNG streams derive from
 // hash(app name, SystemConfig::fingerprint(), nodes, campaign seed, rep),
-// never from execution order. The serial entry points and the thread-pooled
-// overloads therefore produce bit-identical statistics, and the campaign
-// cache can key results by the same fingerprint.
+// never from execution order. A cell therefore produces bit-identical
+// statistics whether a bench runs it here or core::Campaign runs it on a
+// pool worker, and the campaign cache can key results by the same
+// fingerprint.
 
 #include <cstdint>
 #include <string>
@@ -18,7 +19,6 @@
 #include "core/config.hpp"
 #include "obs/ledger.hpp"
 #include "sim/stats.hpp"
-#include "sim/thread_pool.hpp"
 #include "workloads/app.hpp"
 
 namespace mkos::core {
@@ -51,13 +51,6 @@ struct RunStats {
 [[nodiscard]] RunStats run_app(workloads::App& app, const SystemConfig& config,
                                int nodes, int reps, std::uint64_t seed);
 
-/// Thread-pooled cell: repetitions fan out as independent tasks, each
-/// constructing its own App through the registry (`app_name` must be a
-/// registry name). Bit-identical to the serial overload.
-[[nodiscard]] RunStats run_app(std::string_view app_name, const SystemConfig& config,
-                               int nodes, int reps, std::uint64_t seed,
-                               sim::TaskPool& pool);
-
 struct ScalingPoint {
   int nodes = 0;
   double median = 0.0;
@@ -71,17 +64,6 @@ struct ScalingPoint {
 [[nodiscard]] std::vector<ScalingPoint> scaling_sweep(workloads::App& app,
                                                       const SystemConfig& config,
                                                       int reps, std::uint64_t seed,
-                                                      int max_nodes = 1 << 30,
-                                                      obs::RunLedger* ledger = nullptr);
-
-/// Thread-pooled sweep: (node count, repetition) pairs fan out as independent
-/// tasks. Bit-identical to the serial overload for the same inputs — including
-/// the merged `ledger`, which always accumulates in positional (node, rep)
-/// order regardless of task scheduling.
-[[nodiscard]] std::vector<ScalingPoint> scaling_sweep(std::string_view app_name,
-                                                      const SystemConfig& config,
-                                                      int reps, std::uint64_t seed,
-                                                      sim::TaskPool& pool,
                                                       int max_nodes = 1 << 30,
                                                       obs::RunLedger* ledger = nullptr);
 

@@ -31,11 +31,6 @@ int NetworkModel::hop_count(int node_a, int node_b, int total_nodes) const {
   return 2 * levels - 1;
 }
 
-sim::TimeNs NetworkModel::message_time(sim::Bytes bytes, int node_a, int node_b,
-                                       int total_nodes) const {
-  return wire_time(bytes, hop_count(node_a, node_b, total_nodes));
-}
-
 NetworkModel omni_path_100() { return NetworkModel{}; }
 
 NetworkModel omni_path_user_space() {

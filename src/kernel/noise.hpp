@@ -12,7 +12,6 @@
 // application computes for `span`; collectives then propagate the per-rank
 // tails (max-reduction), which is where amplification at scale comes from.
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -78,8 +77,6 @@ struct SampleCounters {
 /// parallel to components()/moments(), rebuilt on add().
 struct ComponentLanes {
   std::vector<double> rate_hz;   ///< Poisson intensity of each component
-  std::vector<double> m1_ns;     ///< truncated first moment (sum fast path)
-  std::vector<double> var_ns2;   ///< max(m2 - m1^2, 0): per-event variance
 
   [[nodiscard]] std::size_t size() const { return rate_hz.size(); }
 };
@@ -107,23 +104,9 @@ class NoiseModel {
   [[nodiscard]] sim::TimeNs sample(sim::TimeNs span, sim::Rng& rng,
                                    SampleCounters* counters = nullptr) const;
 
-  /// Batched variant: stolen time for each compute span in `spans`, written
-  /// into the caller-provided `out` (same length). Component-major: for each
-  /// component the Poisson counts of the whole batch are drawn into a lane,
-  /// then the sums for the whole lane are drawn through the batched Rng
-  /// fills (Gamma for uncapped exponentials, CLT normals for capped shapes).
-  /// Stream layout therefore differs from calling sample() per span — the
-  /// distribution of each output is identical, the draw interleaving is not
-  /// — so this is a new-callers-only API: hot paths whose draw order feeds
-  /// ledgered gauges stay on sample().
-  void sample_batch(std::span<const sim::TimeNs> spans, std::span<sim::TimeNs> out,
-                    sim::Rng& rng, SampleCounters* counters = nullptr) const;
-
   NoiseModel& add(NoiseComponent c);
 
  private:
-  void push_lane(std::size_t i);
-
   std::vector<NoiseComponent> components_;
   std::vector<ComponentMoments> moments_;  ///< hoisted out of the sample path
   ComponentLanes lanes_;                   ///< SoA mirror of the hot scalars

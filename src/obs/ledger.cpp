@@ -198,22 +198,4 @@ bool RunLedger::write_json(const std::string& path) const {
   return true;
 }
 
-std::string RunLedger::to_csv() const {
-  sim::Table t({"section", "name", "value"});
-  for (const auto& e : meta_.entries) t.add_row({"meta", e.name, e.value});
-  for (const auto& e : counters_.entries) {
-    t.add_row({"counter", e.name, std::to_string(e.value)});
-  }
-  for (const auto& e : gauges_.entries) {
-    t.add_row({"gauge", e.name, sim::json_number(e.value)});
-  }
-  for (const auto& e : summaries_.entries) {
-    if (e.value.empty()) continue;
-    t.add_row({"summary", e.name + ".median", sim::json_number(e.value.median())});
-    t.add_row({"summary", e.name + ".min", sim::json_number(e.value.min())});
-    t.add_row({"summary", e.name + ".max", sim::json_number(e.value.max())});
-  }
-  return t.to_csv();
-}
-
 }  // namespace mkos::obs

@@ -6,7 +6,7 @@
 // histograms, grouped by a `<subsystem>.<metric>` naming convention
 // (heap.brk_calls, kernel.ikc_round_trips, runtime.coll_stall_ns, ...).
 // A ledger snapshots into a versioned JSON document (schema
-// "mkos.run_ledger.v1") or a flat CSV via the hardened sim/format layer.
+// "mkos.run_ledger.v1") via the hardened sim/format layer.
 //
 // Determinism contract (DESIGN.md §5.1 / §10): everything outside the
 // `host` section is a pure function of (app, config fingerprint, nodes,
@@ -120,9 +120,6 @@ class MKOS_THREAD_CONFINED("one campaign cell task, merged post-join") RunLedger
   /// `*error` (when non-null); the ledger is left empty in that case —
   /// a corrupt store entry must never half-populate a cell.
   bool restore_storage_json(const sim::JsonValue& doc, std::string* error);
-
-  /// Flat CSV (section,name,value) of the deterministic scalar sections.
-  [[nodiscard]] std::string to_csv() const;
 
  private:
   template <typename T>

@@ -19,25 +19,6 @@ void record_heap(RunLedger& ledger, const mem::HeapStats& stats) {
   ledger.incr("heap.cum_growth_bytes", stats.cum_growth);
 }
 
-void record_placement(RunLedger& ledger, const mem::Placement& placement,
-                      const hw::NodeTopology& topo) {
-  ledger.incr("mem.bytes_4k", placement.bytes_with_page(mem::PageSize::k4K));
-  ledger.incr("mem.bytes_2m", placement.bytes_with_page(mem::PageSize::k2M));
-  ledger.incr("mem.bytes_1g", placement.bytes_with_page(mem::PageSize::k1G));
-  ledger.incr("mem.bytes_mcdram", placement.bytes_in_kind(topo, hw::MemKind::kMcdram));
-  ledger.incr("mem.bytes_ddr4", placement.bytes_in_kind(topo, hw::MemKind::kDdr4));
-}
-
-void record_address_space(RunLedger& ledger, const mem::AddressSpace& as,
-                          const hw::NodeTopology& topo) {
-  // for_each walks the VMA map in address order — deterministic.
-  as.for_each([&](const mem::Vma& vma) {
-    record_placement(ledger, vma.placement, topo);
-  });
-  ledger.incr("mem.faults", as.total_faults());
-  ledger.incr("mem.vmas", as.vma_count());
-}
-
 void record_kernel(RunLedger& ledger, const kernel::Kernel& k) {
   ledger.incr("kernel.syscalls_local", k.local_call_count());
   ledger.incr("kernel.syscalls_offloaded", k.offloaded_call_count());

@@ -11,14 +11,8 @@
 
 #include "obs/ledger.hpp"
 
-namespace mkos::hw {
-class NodeTopology;
-}  // namespace mkos::hw
-
 namespace mkos::mem {
 struct HeapStats;
-class Placement;
-class AddressSpace;
 }  // namespace mkos::mem
 
 namespace mkos::kernel {
@@ -42,15 +36,6 @@ namespace mkos::obs {
 
 /// heap.* counters: brk traffic, faults, zeroing work.
 void record_heap(RunLedger& ledger, const mem::HeapStats& stats);
-
-/// mem.* counters: resident bytes by page size and by memory kind.
-void record_placement(RunLedger& ledger, const mem::Placement& placement,
-                      const hw::NodeTopology& topo);
-
-/// mem.* counters over every VMA of an address space (page-size mix,
-/// MCDRAM vs DDR4 split, demand faults).
-void record_address_space(RunLedger& ledger, const mem::AddressSpace& as,
-                          const hw::NodeTopology& topo);
 
 /// kernel.* counters (local/offloaded calls, IKC round trips) and the
 /// noise model's per-source rates as gauges (kernel.noise.<label>.rate_hz).

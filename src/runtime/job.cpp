@@ -105,12 +105,4 @@ double Job::lane_effective_gbps(int i) const {
   return gbps;
 }
 
-double Job::min_effective_gbps() const {
-  double worst = lane_effective_gbps(0);
-  for (int i = 1; i < lane_count(); ++i) {
-    worst = std::min(worst, lane_effective_gbps(i));
-  }
-  return worst;
-}
-
 }  // namespace mkos::runtime

@@ -62,9 +62,6 @@ class Job {
   /// contiguous physical memory is better cache performance").
   [[nodiscard]] double lane_effective_gbps(int i) const;
 
-  /// Worst (slowest) lane's effective bandwidth — the node's critical rank.
-  [[nodiscard]] double min_effective_gbps() const;
-
  private:
   const Machine& machine_;
   JobSpec spec_;

@@ -502,11 +502,6 @@ void MpiWorld::halo_exchange(sim::Bytes bytes_per_msg, int neighbors) {
   synchronize(sync_cores, comm, SyncKind::kHalo);
 }
 
-void MpiWorld::send_shift(sim::Bytes bytes) {
-  synchronize(static_cast<std::uint64_t>(2 * job_.spec().threads_per_rank),
-              message_cost(bytes), SyncKind::kShift);
-}
-
 sim::TimeNs MpiWorld::finish() {
   synchronize(global_cores(), sim::TimeNs{0}, SyncKind::kFinish);
   return clock_;

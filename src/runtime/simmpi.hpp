@@ -99,8 +99,6 @@ class MKOS_THREAD_CONFINED("one campaign cell task") MpiWorld {
   void halo_exchange(sim::Bytes bytes_per_msg, int neighbors);
   /// Global barrier (zero-byte allreduce).
   void barrier();
-  /// Pairwise shift (ring / pencil transpose step): one large message.
-  void send_shift(sim::Bytes bytes);
 
   // -------------------------------------------------------------- results
   /// Drain pending work (final sync) and return the slowest rank's clock.
@@ -178,7 +176,7 @@ class MKOS_THREAD_CONFINED("one campaign cell task") MpiWorld {
   }
 
   /// Per-synchronization trace record (populated when tracing is enabled).
-  enum class SyncKind : std::uint8_t { kAllreduce, kHalo, kShift, kFinish };
+  enum class SyncKind : std::uint8_t { kAllreduce, kHalo, kFinish };
   struct SyncEvent {
     SyncKind kind;
     sim::TimeNs span;   ///< slowest lane's accumulated work in this window

@@ -2,9 +2,7 @@
 // Discrete-event engine.
 //
 // Most of the mkos performance pipeline advances per-rank clocks
-// analytically, but several substrates are genuinely event-driven: the IKC
-// inter-kernel channel, the cooperative/preemptive schedulers, the noise
-// sources in their trace-producing mode, and the fault injector's timeline.
+// analytically; the fault injector's timeline is genuinely event-driven.
 // This engine provides a classic time-ordered queue with stable FIFO
 // ordering among simultaneous events and O(1) cancellation via handles.
 //

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 
 #include "sim/contracts.hpp"
+#include "sim/time.hpp"
+#include "sim/units.hpp"
 
 namespace mkos::sim {
 
@@ -93,6 +96,36 @@ std::string fmt_pct(double ratio, int precision) {
   return buf;
 }
 
+std::string to_string(TimeNs t) {
+  char buf[64];
+  const double ns = static_cast<double>(t.ns());
+  const double a = std::fabs(ns);
+  if (a < 1e3) {
+    std::snprintf(buf, sizeof buf, "%" PRId64 " ns", t.ns());
+  } else if (a < 1e6) {
+    std::snprintf(buf, sizeof buf, "%.2f us", ns * 1e-3);
+  } else if (a < 1e9) {
+    std::snprintf(buf, sizeof buf, "%.2f ms", ns * 1e-6);
+  } else {
+    std::snprintf(buf, sizeof buf, "%.3f s", ns * 1e-9);
+  }
+  return buf;
+}
+
+std::string bytes_to_string(Bytes b) {
+  char buf[64];
+  if (b < KiB) {
+    std::snprintf(buf, sizeof buf, "%llu B", static_cast<unsigned long long>(b));
+  } else if (b < MiB) {
+    std::snprintf(buf, sizeof buf, "%.1f KiB", static_cast<double>(b) / static_cast<double>(KiB));
+  } else if (b < GiB) {
+    std::snprintf(buf, sizeof buf, "%.1f MiB", static_cast<double>(b) / static_cast<double>(MiB));
+  } else {
+    std::snprintf(buf, sizeof buf, "%.2f GiB", static_cast<double>(b) / static_cast<double>(GiB));
+  }
+  return buf;
+}
+
 std::string json_quote(const std::string& s) {
   std::string out = "\"";
   for (const char ch : s) {
@@ -162,14 +195,6 @@ std::string JsonObject::to_string() const {
   }
   out += "}\n";
   return out;
-}
-
-bool write_text_file(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool wrote = std::fwrite(content.data(), 1, content.size(), f) == content.size();
-  const bool closed = std::fclose(f) == 0;
-  return wrote && closed;
 }
 
 void print_banner(const std::string& title, const std::string& paper_ref) {

@@ -3,7 +3,7 @@
 //
 // This is the serialization bedrock shared by the run ledger (obs/), the
 // campaign glue (core/) and the bench, example and test harnesses. It lives
-// in sim/ — the bottom layer — so that obs can emit JSON/CSV without an
+// in sim/ — the bottom layer — so that obs can emit JSON without an
 // upward include of core, keeping the module include graph acyclic
 // (enforced by mkos-lint's layering phase against tools/layering.rules).
 
@@ -67,8 +67,5 @@ class JsonObject {
  private:
   std::vector<std::string> fields_;
 };
-
-/// Write `content` to `path` (truncating); returns false on I/O failure.
-bool write_text_file(const std::string& path, const std::string& content);
 
 }  // namespace mkos::sim

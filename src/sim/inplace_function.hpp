@@ -4,9 +4,9 @@
 // The discrete-event engine stores one callback per event slot. With
 // std::function every schedule_at() risked a heap allocation and carried
 // copy-ability machinery no caller uses. InplaceAction keeps the capture
-// block inline in the slot for the common sizes (IKC requests, scheduler
-// thunks, noise closures — all well under 64 bytes) and falls back to a
-// single heap cell for oversized captures. Move-only by design: events are
+// block inline in the slot for the common sizes (the fault injector's
+// timeline events, test and bench thunks — all within 64 bytes) and falls
+// back to a single heap cell for oversized captures. Move-only by design: events are
 // scheduled once and executed once.
 
 #include <cstddef>
@@ -20,8 +20,9 @@ namespace mkos::sim {
 
 class InplaceAction {
  public:
-  /// Sized to hold an IkcQueue response closure (`this` + Request with its
-  /// std::function handler) without spilling: the hottest event payload.
+  /// Sized to hold the fault injector's `[this, FaultEvent]` closure
+  /// (40 bytes) without spilling, with headroom for small test and bench
+  /// thunks.
   static constexpr std::size_t kInlineBytes = 64;
 
   InplaceAction() = default;

@@ -6,7 +6,6 @@
 // order in which model components draw numbers.
 
 #include <cstdint>
-#include <span>
 
 #include "sim/time.hpp"
 
@@ -22,17 +21,11 @@ class Rng {
   /// Uniform double in [0, 1).
   double next_double();
 
-  /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi);
-
   /// Uniform integer in [0, n). Precondition: n > 0.
   std::uint64_t uniform_index(std::uint64_t n);
 
   /// Exponential with the given mean (> 0).
   double exponential(double mean);
-
-  /// Log-normal parameterized by the median and the shape sigma (> 0).
-  double lognormal(double median, double sigma);
 
   /// Normal with the given mean and standard deviation (>= 0).
   double normal(double mean, double stddev);
@@ -54,27 +47,6 @@ class Rng {
   /// Number of Poisson arrivals with the given expected count (>= 0).
   /// Uses inversion for small means and a normal approximation for large ones.
   std::uint64_t poisson(double mean);
-
-  // Batched draw primitives. Each fill consumes the stream in index order,
-  // drawing nothing for zero-count / zero-mean elements, so a fill over a
-  // batch is stream-equivalent to the corresponding scalar loop. New callers
-  // only: routing an existing scalar call site through a fill must not change
-  // the values it produces (it does not), but batching restructures *who*
-  // draws, so hot paths that feed ledgered gauges keep their scalar loops.
-
-  /// out[i] = poisson(means[i]).
-  void fill_poisson(std::span<const double> means, std::span<std::uint64_t> out);
-
-  /// Batched Gamma: out[i] = exponential_sum(counts[i], mean) — one Gamma
-  /// variate per nonzero count; zero counts write 0.0 and draw nothing.
-  void fill_exponential_sums(std::span<const std::uint64_t> counts, double mean,
-                             std::span<double> out);
-
-  /// Batched CLT sums: for counts[i] > 0, one Normal(m1 * n, sqrt(var1 * n))
-  /// variate (unclamped — the caller owns support bounds); zero counts write
-  /// 0.0 and draw nothing. Precondition: var1 >= 0.
-  void fill_normal_sums(std::span<const std::uint64_t> counts, double m1,
-                        double var1, std::span<double> out);
 
   /// Derive an independent, deterministic child stream.
   [[nodiscard]] Rng fork(std::uint64_t tag) const;

@@ -62,21 +62,4 @@ double Summary::percentile(double p) const {
   return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
 }
 
-void RunningStat::add(double v) {
-  if (n_ == 0) {
-    min_ = max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-  ++n_;
-  const double delta = v - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (v - mean_);
-}
-
-double RunningStat::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
 }  // namespace mkos::sim

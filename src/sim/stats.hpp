@@ -38,23 +38,4 @@ class Summary {
   mutable bool sorted_valid_ = false;
 };
 
-/// Streaming mean/variance (Welford); used where sample storage would be
-/// wasteful (per-rank noise accounting at 131k ranks).
-class RunningStat {
- public:
-  void add(double v);
-  [[nodiscard]] std::size_t count() const { return n_; }
-  [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double min() const { return min_; }
-  [[nodiscard]] double max() const { return max_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 }  // namespace mkos::sim

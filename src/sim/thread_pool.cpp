@@ -32,11 +32,6 @@ struct Join {
 
 }  // namespace
 
-void parallel_for(TaskPool& pool, std::size_t n,
-                  const std::function<void(std::size_t)>& body) {
-  parallel_for_weighted(pool, std::vector<double>(n, 1.0), body);
-}
-
 void parallel_for_weighted(TaskPool& pool, const std::vector<double>& costs,
                            const std::function<void(std::size_t)>& body) {
   const std::size_t n = costs.size();

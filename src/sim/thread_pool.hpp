@@ -31,7 +31,7 @@ class TaskPool {
 
   /// Enqueue a task with a relative execution-cost estimate, which steers
   /// placement. Tasks must not throw and must not call back into the pool's
-  /// blocking APIs (wait_idle / parallel_for) — cells are leaves.
+  /// blocking APIs (wait_idle / parallel_for_weighted) — cells are leaves.
   virtual void submit_weighted(double cost, Task task) = 0;
 
   /// Block until no task is queued AND no task is executing.
@@ -47,11 +47,6 @@ class TaskPool {
 /// [1, 4096], anything else is a hard error via sim::env_int), otherwise
 /// `std::thread::hardware_concurrency()`.
 [[nodiscard]] int default_threads();
-
-/// parallel_for_weighted at unit cost: every index weighs the same, so
-/// submission stays in index order.
-void parallel_for(TaskPool& pool, std::size_t n,
-                  const std::function<void(std::size_t)>& body);
 
 /// Run `body(0..n-1)` across the pool, given a per-index cost estimate
 /// (`costs.size() == n`), and block until all complete. Indices are

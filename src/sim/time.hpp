@@ -49,7 +49,7 @@ constexpr TimeNs seconds(double v) { return TimeNs{static_cast<std::int64_t>(v *
 /// Construct a duration from a (possibly fractional) nanosecond count.
 constexpr TimeNs from_double_ns(double v) { return TimeNs{static_cast<std::int64_t>(v)}; }
 
-/// Human-readable rendering ("3.2 ms", "870 ns", ...), for logs and reports.
+/// Human-readable rendering ("3.2 ms", "870 ns", ...), for reports.
 [[nodiscard]] std::string to_string(TimeNs t);
 
 namespace literals {

@@ -11,6 +11,7 @@
 
 #include "core/campaign.hpp"
 #include "core/obs_glue.hpp"
+#include "fault/fault.hpp"
 #include "sim/json.hpp"
 #include "sim/thread_pool.hpp"
 #include "sim/work_stealing_pool.hpp"
@@ -22,13 +23,6 @@ using namespace mkos;
 using namespace mkos::core;
 
 // --------------------------------------------------------------- task pool
-
-TEST(TaskPool, ParallelForCoversEveryIndexOnce) {
-  sim::WorkStealingPool pool(3);
-  std::vector<std::atomic<int>> seen(257);
-  sim::parallel_for(pool, seen.size(), [&seen](std::size_t i) { seen[i].fetch_add(1); });
-  for (const auto& s : seen) EXPECT_EQ(s.load(), 1);
-}
 
 TEST(TaskPool, DefaultThreadsHonorsEnvVar) {
   ASSERT_EQ(setenv("MKOS_THREADS", "3", 1), 0);
@@ -81,14 +75,15 @@ TEST(WorkStealingPool, WeightedParallelForCoversEveryIndexOnce) {
 
 TEST(WorkStealingPool, ParallelForPropagatesTheFirstException) {
   sim::WorkStealingPool pool(2);
-  EXPECT_THROW(sim::parallel_for(pool, 8,
-                                 [](std::size_t i) {
-                                   if (i == 3) throw std::runtime_error("boom");
-                                 }),
+  EXPECT_THROW(sim::parallel_for_weighted(pool, std::vector<double>(8, 1.0),
+                                          [](std::size_t i) {
+                                            if (i == 3) throw std::runtime_error("boom");
+                                          }),
                std::runtime_error);
   pool.wait_idle();  // the pool must stay usable afterwards
   std::atomic<int> hits{0};
-  sim::parallel_for(pool, 4, [&hits](std::size_t) { hits.fetch_add(1); });
+  sim::parallel_for_weighted(pool, std::vector<double>(4, 1.0),
+                             [&hits](std::size_t) { hits.fetch_add(1); });
   EXPECT_EQ(hits.load(), 4);
 }
 
@@ -217,15 +212,34 @@ TEST(Fingerprint, DigestRendersExactlyTheHashedKnobs) {
 // ------------------------------------------------------------- determinism
 
 TEST(Campaign, ParallelRunAppIsBitIdenticalToSerial) {
-  auto app = workloads::make_minife();
-  const RunStats serial = run_app(*app, SystemConfig::mckernel(), 16, 5, 1234);
+  // Cells running concurrently on pool workers equal the serial run_app the
+  // per-figure benches call, rep for rep and ledger byte for ledger byte.
+  CampaignSpec spec;
+  spec.apps = {"MiniFE"};
+  spec.configs = {SystemConfig::mckernel(), SystemConfig::mos()};
+  spec.nodes = {16, 32};
+  spec.reps = 5;
+  spec.seed = 1234;
   sim::WorkStealingPool pool(4);
-  const RunStats parallel = run_app("MiniFE", SystemConfig::mckernel(), 16, 5, 1234, pool);
-  ASSERT_EQ(parallel.fom.count(), serial.fom.count());
-  EXPECT_EQ(parallel.unit, serial.unit);
-  // Bit-identical, rep for rep — not merely statistically close.
-  for (std::size_t i = 0; i < serial.fom.samples().size(); ++i) {
-    EXPECT_EQ(parallel.fom.samples()[i], serial.fom.samples()[i]) << "rep " << i;
+  CellCache cache;
+  Campaign campaign(pool, cache);
+  const auto cells = campaign.run(spec);
+  ASSERT_EQ(cells.size(), 4u);
+
+  auto app = workloads::make_minife();
+  for (const CellResult& cell : cells) {
+    const SystemConfig& config =
+        cell.config_label == "McKernel" ? spec.configs[0] : spec.configs[1];
+    const RunStats serial = run_app(*app, config, cell.nodes, spec.reps, spec.seed);
+    const RunStats& parallel = cell.stats;
+    ASSERT_EQ(parallel.fom.count(), serial.fom.count());
+    EXPECT_EQ(parallel.unit, serial.unit);
+    // Bit-identical, rep for rep — not merely statistically close.
+    for (std::size_t i = 0; i < serial.fom.samples().size(); ++i) {
+      EXPECT_EQ(parallel.fom.samples()[i], serial.fom.samples()[i])
+          << cell.config_label << " n" << cell.nodes << " rep " << i;
+    }
+    EXPECT_EQ(parallel.ledger.to_json(), serial.ledger.to_json());
   }
 }
 
@@ -233,31 +247,51 @@ TEST(Campaign, SweepMediansBitIdenticalAcrossThreadCounts) {
   const SystemConfig cfg = SystemConfig::mos();
   auto app = workloads::make_minife();
   const auto serial = scaling_sweep(*app, cfg, 3, 99, 64);
-  sim::WorkStealingPool one(1);
-  sim::WorkStealingPool many(4);
-  const auto pooled1 = scaling_sweep("MiniFE", cfg, 3, 99, one, 64);
-  const auto pooledN = scaling_sweep("MiniFE", cfg, 3, 99, many, 64);
+  CampaignSpec spec;
+  spec.apps = {"MiniFE"};
+  spec.configs = {cfg};
+  spec.reps = 3;
+  spec.seed = 99;
+  spec.max_nodes = 64;
+  const auto pooled_sweep = [&spec](int workers) {
+    sim::WorkStealingPool pool(workers);
+    CellCache cache;
+    Campaign campaign(pool, cache);
+    return campaign.run(spec);
+  };
+  const auto pooled1 = pooled_sweep(1);
+  const auto pooledN = pooled_sweep(4);
   ASSERT_EQ(pooled1.size(), serial.size());
   ASSERT_EQ(pooledN.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(pooled1[i].nodes, serial[i].nodes);
     EXPECT_EQ(pooledN[i].nodes, serial[i].nodes);
-    EXPECT_EQ(pooled1[i].median, serial[i].median);
-    EXPECT_EQ(pooledN[i].median, serial[i].median);
-    EXPECT_EQ(pooledN[i].min, serial[i].min);
-    EXPECT_EQ(pooledN[i].max, serial[i].max);
+    EXPECT_EQ(pooled1[i].stats.median(), serial[i].median);
+    EXPECT_EQ(pooledN[i].stats.median(), serial[i].median);
+    EXPECT_EQ(pooledN[i].stats.min(), serial[i].min);
+    EXPECT_EQ(pooledN[i].stats.max(), serial[i].max);
   }
 }
 
 TEST(Campaign, WorkStealingChangesNoLedgerByte) {
   // The tentpole determinism proof: the same grid through a 1-worker pool
   // and a 4-worker pool (LPT placement + steals) must produce byte-identical
-  // reporting documents. Scheduler telemetry is deliberately NOT recorded
+  // reporting documents — also with fault injection armed and with the
+  // allocator model on. Scheduler telemetry is deliberately NOT recorded
   // here; SchedTelemetryStaysInTheHostBlock covers it.
+  SystemConfig faulty = SystemConfig::mckernel();
+  faulty.resilience.straggler_rate_hz = 0.01;
+  faulty.resilience.ikc_drop_rate_hz = 0.02;
+  faulty.resilience.mcdram_fail_fraction = 0.5;
+  faulty.resilience.policy = fault::RecoveryPolicy::kRetry;
+  SystemConfig alloc_on = SystemConfig::mos();
+  alloc_on.alloc.model_allocator = true;
+
   CampaignSpec spec;
-  spec.apps = {"MiniFE", "HPCG", "Lulesh2.0"};
+  // XSBench is the app that drives the allocator model's slab traffic.
+  spec.apps = {"MiniFE", "HPCG", "Lulesh2.0", "XSBench/interleave"};
   spec.configs = {SystemConfig::linux_default(), SystemConfig::mckernel(),
-                  SystemConfig::mos()};
+                  SystemConfig::mos(), faulty, alloc_on};
   spec.nodes = {16, 32};
   spec.reps = 2;
   spec.seed = 21;
@@ -272,12 +306,16 @@ TEST(Campaign, WorkStealingChangesNoLedgerByte) {
                            std::to_string(cell.nodes),
                        cell.stats);
     }
-    return ledger.to_json();
+    return ledger;
   };
 
   sim::WorkStealingPool one(1);
   sim::WorkStealingPool four(4);
-  EXPECT_EQ(run_grid(four), run_grid(one));
+  const obs::RunLedger serial = run_grid(one);
+  EXPECT_EQ(run_grid(four).to_json(), serial.to_json());
+  // Both armed subsystems reach the ledger, so the identity is not vacuous.
+  EXPECT_GT(serial.counter("fault.injected"), 0u);
+  EXPECT_GT(serial.counter("alloc.magazine_hits"), 0u);
 }
 
 TEST(Campaign, SchedTelemetryStaysInTheHostBlock) {

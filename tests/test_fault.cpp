@@ -1,7 +1,8 @@
 // Unit tests: the fault-injection subsystem — plan determinism and ordering,
 // the injector, recovery-policy math, kernel-specific crash survival, the
 // checkpoint-interval trade-off, MCDRAM denial spill, and the byte-identity
-// guarantees (zero plan == no subsystem; serial == pooled under faults).
+// guarantee zero plan == no subsystem. Worker-count identity under faults
+// is covered by Campaign.WorkStealingChangesNoLedgerByte.
 
 #include <gtest/gtest.h>
 
@@ -15,8 +16,6 @@
 #include "mem/address_space.hpp"
 #include "runtime/resilience.hpp"
 #include "runtime/simmpi.hpp"
-#include "sim/thread_pool.hpp"
-#include "sim/work_stealing_pool.hpp"
 #include "workloads/app.hpp"
 
 namespace {
@@ -427,17 +426,6 @@ TEST(Resilience, FaultyRunIsSeedDeterministic) {
   EXPECT_EQ(a.ledger.to_json(), b.ledger.to_json());
   EXPECT_GT(a.ledger.counter("fault.injected"), 0u);
   EXPECT_GT(a.ledger.counter("fault.wait_ns"), 0u);
-}
-
-TEST(Resilience, SerialAndPooledLedgersAreByteIdenticalUnderFaults) {
-  SystemConfig config = SystemConfig::mckernel();
-  config.resilience = chaotic_spec();
-  auto app = workloads::make_app("MiniFE");
-  const core::RunStats serial = core::run_app(*app, config, 8, 4, 42);
-  sim::WorkStealingPool pool{4};
-  const core::RunStats pooled = core::run_app("MiniFE", config, 8, 4, 42, pool);
-  EXPECT_EQ(serial.fom.samples(), pooled.fom.samples());
-  EXPECT_EQ(serial.ledger.to_json(), pooled.ledger.to_json());
 }
 
 TEST(Resilience, FaultsDegradeFom) {

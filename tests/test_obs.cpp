@@ -1,6 +1,7 @@
 // Unit tests for the mkos::obs run ledger: section semantics, the
-// positional-merge contract, strict JSON validity of the emitted document,
-// and the serial-vs-pooled byte-identity the determinism contract promises.
+// positional-merge contract and strict JSON validity of the emitted
+// document. Worker-count byte-identity of campaign ledgers is covered by
+// Campaign.WorkStealingChangesNoLedgerByte.
 
 #include <gtest/gtest.h>
 
@@ -8,12 +9,8 @@
 #include <fstream>
 #include <sstream>
 
-#include "core/experiment.hpp"
 #include "obs/ledger.hpp"
-#include "sim/thread_pool.hpp"
-#include "sim/work_stealing_pool.hpp"
 #include "strict_json.hpp"
-#include "workloads/app.hpp"
 
 namespace {
 
@@ -230,40 +227,6 @@ TEST(RunLedger, WriteJsonIsAtomicTempThenRename) {
     EXPECT_EQ(buf.str(), new_ledger.to_json());
   }
   fs::remove_all(dir);
-}
-
-TEST(RunLedger, ToCsvListsScalarSections) {
-  obs::RunLedger l;
-  l.set_meta("bench", "csv");
-  // mkos-lint: allow(unknown-counter) — synthetic name exercising CSV layout,
-  // never emitted into a real ledger.
-  l.incr("c", 2);
-  l.set_gauge("g", 0.5);
-  const std::string csv = l.to_csv();
-  EXPECT_NE(csv.find("section,name,value"), std::string::npos);
-  EXPECT_NE(csv.find("meta,bench,csv"), std::string::npos);
-  EXPECT_NE(csv.find("counter,c,2"), std::string::npos);
-  EXPECT_NE(csv.find("gauge,g,0.5"), std::string::npos);
-}
-
-// -------------------------------------------- determinism: serial vs pooled
-
-TEST(RunLedger, SerialAndPooledSweepLedgersAreByteIdentical) {
-  const core::SystemConfig config = core::SystemConfig::mckernel();
-  constexpr int kReps = 2;
-  constexpr std::uint64_t kSeed = 77;
-  constexpr int kMaxNodes = 32;
-
-  auto app = workloads::make_minife();
-  obs::RunLedger serial;
-  (void)core::scaling_sweep(*app, config, kReps, kSeed, kMaxNodes, &serial);
-
-  sim::WorkStealingPool pool{4};
-  obs::RunLedger pooled;
-  (void)core::scaling_sweep("MiniFE", config, kReps, kSeed, pool, kMaxNodes, &pooled);
-
-  EXPECT_EQ(serial.to_json(), pooled.to_json());
-  EXPECT_TRUE(StrictJson{serial.to_json()}.valid());
 }
 
 }  // namespace

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
@@ -140,21 +138,6 @@ TEST(Summary, Percentiles) {
   EXPECT_NEAR(s.percentile(100), 100.0, 1e-9);
   EXPECT_NEAR(s.percentile(50), 50.5, 1e-9);
   EXPECT_NEAR(s.percentile(99), 99.01, 0.01);
-}
-
-TEST(RunningStat, MatchesBatch) {
-  RunningStat rs;
-  Summary s;
-  Rng r{23};
-  for (int i = 0; i < 1000; ++i) {
-    const double v = r.uniform(0, 10);
-    rs.add(v);
-    s.add(v);
-  }
-  EXPECT_NEAR(rs.mean(), s.mean(), 1e-9);
-  EXPECT_NEAR(std::sqrt(rs.variance()), s.stddev(), 1e-9);
-  EXPECT_DOUBLE_EQ(rs.min(), s.min());
-  EXPECT_DOUBLE_EQ(rs.max(), s.max());
 }
 
 // -------------------------------------------------------------- EventQueue

@@ -1,12 +1,10 @@
-// Unit tests: histogram, event-driven IKC queue, time-share scheduler,
-// CSV export — the framework extensions layered on the simulation kernel.
+// Unit tests: histogram, CSV export and strict env-knob parsing — the
+// framework extensions layered on the simulation kernel.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 
-#include "kernel/ikc_queue.hpp"
-#include "kernel/scheduler.hpp"
 #include "sim/env.hpp"
 #include "sim/format.hpp"
 #include "sim/histogram.hpp"
@@ -16,7 +14,6 @@ namespace {
 
 using namespace mkos;
 using namespace mkos::sim;
-using namespace mkos::sim::literals;
 
 // ---------------------------------------------------------------- Histogram
 
@@ -113,161 +110,6 @@ TEST(Histogram, ToStringRendersBars) {
   const std::string s = h.to_string();
   EXPECT_NE(s.find('#'), std::string::npos);
   EXPECT_NE(s.find("10"), std::string::npos);
-}
-
-// ----------------------------------------------------------------- IkcQueue
-
-TEST(IkcQueue, SingleRequestRoundTrip) {
-  EventQueue events;
-  kernel::IkcQueue q{events, kernel::IkcChannel{kernel::IkcCosts{}, 1, 0},
-                     sim::TimeNs{950}};
-  sim::TimeNs completed{0};
-  q.post(256, [&](sim::TimeNs t) { completed = t; });
-  events.run();
-  EXPECT_EQ(q.completed(), 1u);
-  EXPECT_GT(completed.ns(), 0);
-  // At least: request one-way + wakeup + service + response one-way.
-  const auto& ch = kernel::IkcChannel{kernel::IkcCosts{}, 1, 0};
-  const auto floor_ns = ch.one_way(256) + kernel::IkcCosts{}.proxy_wakeup +
-                        sim::TimeNs{950} + ch.one_way(64);
-  EXPECT_GE(completed.ns(), floor_ns.ns());
-}
-
-TEST(IkcQueue, ConcurrentRequestsSerializeOnTheProxy) {
-  // 16 LWK cores offload simultaneously: the single proxy context services
-  // them one at a time, so the worst latency grows with the burst size.
-  auto worst_for_burst = [](int n) {
-    EventQueue events;
-    kernel::IkcQueue q{events, kernel::IkcChannel{kernel::IkcCosts{}, 1, 0},
-                       sim::microseconds(1)};
-    for (int i = 0; i < n; ++i) {
-      q.post(128, [](sim::TimeNs) {});
-    }
-    events.run();
-    EXPECT_EQ(q.completed(), static_cast<std::uint64_t>(n));
-    return q.worst_latency();
-  };
-  EXPECT_GT(worst_for_burst(16).ns(), worst_for_burst(1).ns() * 8);
-}
-
-TEST(IkcQueue, CompletionOrderIsFifo) {
-  EventQueue events;
-  kernel::IkcQueue q{events, kernel::IkcChannel{kernel::IkcCosts{}, 0, 0},
-                     sim::TimeNs{500}};
-  std::vector<int> order;
-  for (int i = 0; i < 4; ++i) {
-    q.post(64, [&order, i](sim::TimeNs) { order.push_back(i); });
-  }
-  events.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
-TEST(IkcQueue, FullRingDropsArrivingRequests) {
-  // A bounded ring with a stalled (slow) proxy: the in-service request has
-  // left the ring, so capacity bounds the *waiting* requests. Five posts with
-  // identical payloads arrive together; one is immediately in service, two
-  // wait, and the last two find the ring full and are dropped.
-  EventQueue events;
-  kernel::IkcQueue q{events, kernel::IkcChannel{kernel::IkcCosts{}, 1, 0},
-                     sim::milliseconds(1), /*capacity=*/2};
-  EXPECT_EQ(q.capacity(), 2u);
-  std::vector<sim::Bytes> drops;
-  q.set_drop_handler([&](sim::Bytes payload) { drops.push_back(payload); });
-  int completions = 0;
-  for (int i = 0; i < 5; ++i) {
-    q.post(128, [&](sim::TimeNs) { ++completions; });
-  }
-  events.run();
-  EXPECT_EQ(completions, 3);
-  EXPECT_EQ(q.completed(), 3u);
-  EXPECT_EQ(q.dropped(), 2u);
-  EXPECT_EQ(drops, (std::vector<sim::Bytes>{128, 128}));
-  EXPECT_EQ(q.queued(), 0u);
-}
-
-TEST(IkcQueue, BoundedRingWrapsAroundAcrossBursts) {
-  // Repeated bursts push head_ past the end of the 4-slot ring several
-  // times. Nothing is ever dropped (each burst fits) and FIFO order holds
-  // across the wraparound.
-  EventQueue events;
-  kernel::IkcQueue q{events, kernel::IkcChannel{kernel::IkcCosts{}, 1, 0},
-                     sim::microseconds(5), /*capacity=*/4};
-  std::vector<int> order;
-  for (int burst = 0; burst < 4; ++burst) {
-    for (int i = 0; i < 3; ++i) {
-      const int id = burst * 3 + i;
-      q.post(64, [&order, id](sim::TimeNs) { order.push_back(id); });
-    }
-    events.run();
-  }
-  EXPECT_EQ(q.completed(), 12u);
-  EXPECT_EQ(q.dropped(), 0u);
-  ASSERT_EQ(order.size(), 12u);
-  for (int id = 0; id < 12; ++id) EXPECT_EQ(order[static_cast<std::size_t>(id)], id);
-}
-
-TEST(IkcQueue, DrainAfterDropKeepsFifoOrderAndSkipsLostHandlers) {
-  // Overload a capacity-2 ring, then drain: the survivors complete in post
-  // order and the dropped requests' completion handlers never fire — the
-  // contract the retry layer depends on (a drop is silent except for the
-  // drop handler and the counter).
-  EventQueue events;
-  kernel::IkcQueue q{events, kernel::IkcChannel{kernel::IkcCosts{}, 1, 0},
-                     sim::microseconds(50), /*capacity=*/2};
-  std::uint64_t drop_events = 0;
-  q.set_drop_handler([&](sim::Bytes) { ++drop_events; });
-  std::vector<int> order;
-  for (int i = 0; i < 6; ++i) {
-    q.post(256, [&order, i](sim::TimeNs) { order.push_back(i); });
-  }
-  events.run();
-  // First arrival goes straight into service; two wait; three are lost.
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(q.dropped(), 3u);
-  EXPECT_EQ(drop_events, 3u);
-  // The ring drained fully and accepts new work afterwards, in order.
-  q.post(256, [&order](sim::TimeNs) { order.push_back(100); });
-  events.run();
-  EXPECT_EQ(order.back(), 100);
-  EXPECT_EQ(q.completed(), 4u);
-}
-
-// ------------------------------------------------------- TimeShareScheduler
-
-TEST(TimeShare, EqualTasksFinishTogetherAtTheEnd) {
-  kernel::TimeShareScheduler ts{kernel::SchedulerModel::lwk_coop(), 1_ms};
-  ts.add_task(10_ms);
-  ts.add_task(10_ms);
-  const auto done = ts.run();
-  ASSERT_EQ(done.size(), 2u);
-  // Interleaved: both complete near 20 ms (+ context switches), one quantum
-  // apart — unlike cooperative run-to-completion where task 0 ends at 10 ms.
-  EXPECT_GT(done[0].ms(), 18.0);
-  EXPECT_GT(done[1], done[0]);
-  EXPECT_LT((done[1] - done[0]).ms(), 1.2);
-  EXPECT_GE(ts.preemptions(), 18u);
-}
-
-TEST(TimeShare, ShortTaskIsNotStarved) {
-  kernel::TimeShareScheduler ts{kernel::SchedulerModel::lwk_coop(), 1_ms};
-  ts.add_task(100_ms);  // long-running application thread
-  ts.add_task(2_ms);    // short in-situ task
-  const auto done = ts.run();
-  // The short task finishes after ~2 slices of each, not after 100 ms.
-  EXPECT_LT(done[1].ms(), 6.0);
-}
-
-TEST(TimeShare, PreemptionCostAccumulates) {
-  kernel::SchedulerModel m = kernel::SchedulerModel::lwk_coop();
-  kernel::TimeShareScheduler fine{m, 100_us};
-  fine.add_task(10_ms);
-  fine.add_task(10_ms);
-  const auto fine_done = fine.run();
-  kernel::TimeShareScheduler coarse{m, 5_ms};
-  coarse.add_task(10_ms);
-  coarse.add_task(10_ms);
-  const auto coarse_done = coarse.run();
-  EXPECT_GT(fine_done[1], coarse_done[1]);  // more switches, more overhead
 }
 
 // ----------------------------------------------------------------- Table CSV
