@@ -25,6 +25,7 @@ SlabCache::SlabCache(VmemArena* arena, sim::Bytes obj_bytes,
       policy_(policy),
       cpus_(static_cast<std::size_t>(cpus)) {
   MKOS_EXPECTS(arena_ != nullptr);
+  slab_stride_ = sim::align_up(slab_span_, arena_->quantum());
   MKOS_EXPECTS(obj_bytes_ > 0);
   MKOS_EXPECTS(rounds_per_slab_ > 0);
   MKOS_EXPECTS(policy_.min_rounds > 0);
@@ -60,13 +61,12 @@ sim::TimeNs SlabCache::churn(int cpu, std::uint64_t pairs, int active_cpus,
   std::uint64_t slabs = 0;
   if (constructed > 0) {
     slabs = ceil_div(constructed, rounds_per_slab_);
-    for (std::uint64_t s = 0; s < slabs; ++s) {
-      const VmemAlloc a = arena_->alloc(slab_span_);
-      cost += a.cost;
-      if (!a.ok) break;  // backing exhausted; model keeps going on fumes
-      slab_offsets_.push_back(a.offset);
-      ++stats_.slab_creates;
-    }
+    // One run for the burst. If the backing runs dry it stops short, and the
+    // model keeps going on fumes.
+    const VmemRunAlloc built =
+        arena_->alloc_run(slab_span_, slabs, slab_runs_);
+    cost += built.cost;
+    stats_.slab_creates += built.granted;
     // Rounds in freshly built slabs beyond what this burst consumes sit in
     // the depot for the next miss.
     depot_rounds_ += slabs * rounds_per_slab_ - constructed;
@@ -148,12 +148,16 @@ SlabCache::ReclaimResult SlabCache::reclaim(std::uint64_t target_rounds) {
   out.trimmed_rounds = std::min(depot_rounds_, target_rounds);
   depot_rounds_ -= out.trimmed_rounds;
   std::uint64_t freeable = out.trimmed_rounds / rounds_per_slab_;
-  while (freeable > 0 && !slab_offsets_.empty()) {
-    arena_->free(slab_offsets_.back(), slab_span_);
-    slab_offsets_.pop_back();
-    ++stats_.slab_frees;
-    ++out.freed_slabs;
-    --freeable;
+  while (freeable > 0 && !slab_runs_.empty()) {
+    // Newest slabs first: the tail of the last run, then the run before.
+    VmemRun& run = slab_runs_.back();
+    const std::uint64_t n = std::min(freeable, run.count);
+    run.count -= n;
+    arena_->free_run(run.offset + run.count * slab_stride_, slab_span_, n);
+    if (run.count == 0) slab_runs_.pop_back();
+    stats_.slab_frees += n;
+    out.freed_slabs += n;
+    freeable -= n;
   }
   return out;
 }

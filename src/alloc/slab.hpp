@@ -106,7 +106,10 @@ class SlabCache {
 
   std::vector<CpuCache> cpus_;
   std::uint64_t depot_rounds_ = 0;
-  std::vector<sim::Bytes> slab_offsets_;  ///< arena offsets of live slabs
+  /// Live slabs in the order they were built, as runs of slabs that lie end
+  /// to end in the arena, `slab_stride_` apart.
+  std::vector<VmemRun> slab_runs_;
+  sim::Bytes slab_stride_ = 0;  ///< slab_span_ rounded up to the quantum
   Stats stats_;
 };
 

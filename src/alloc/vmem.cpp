@@ -85,6 +85,83 @@ sim::TimeNs VmemArena::free(sim::Bytes offset, sim::Bytes bytes) {
   return segment_op_cost_;
 }
 
+VmemRunAlloc VmemArena::alloc_run(sim::Bytes bytes, std::uint64_t count,
+                                  std::vector<VmemRun>& runs) {
+  MKOS_EXPECTS(bytes > 0);
+  const sim::Bytes size = sim::align_up(bytes, quantum_);
+  VmemRunAlloc out;
+  const auto append = [&](sim::Bytes offset, std::uint64_t n) {
+    VmemRun* last = runs.empty() ? nullptr : &runs.back();
+    if (last != nullptr && last->offset + last->count * size == offset) {
+      last->count += n;
+    } else {
+      runs.push_back(VmemRun{offset, n});
+    }
+    out.granted += n;
+  };
+
+  if (size / quantum_ <= kQuantumCacheClasses) {
+    // The order of the offset stacks is state: keep the per-call path.
+    while (out.granted < count) {
+      const VmemAlloc a = alloc(bytes);
+      out.cost += a.cost;
+      if (!a.ok) return out;
+      append(a.offset, 1);
+    }
+    out.ok = true;
+    return out;
+  }
+
+  // One first-fit pass. Allocation only shrinks segments, so a segment too
+  // small for one block stays too small and the scan never goes back. An
+  // import lands at span_end_, so after one only the last segment can fit.
+  std::size_t i = 0;
+  while (out.granted < count) {
+    while (i < free_segments_.size() && free_segments_[i].length < size) ++i;
+    if (i == free_segments_.size()) {
+      out.cost += import_cost_;
+      if (!import_more(size)) {
+        ++stats_.import_fails;
+        return out;  // ok == false, with the blocks granted so far
+      }
+      i = free_segments_.size() - 1;
+    }
+    Segment& seg = free_segments_[i];
+    const std::uint64_t n = std::min(count - out.granted, seg.length / size);
+    append(seg.offset, n);
+    seg.offset += n * size;
+    seg.length -= n * size;
+    out.cost += segment_op_cost_ * static_cast<std::int64_t>(n);
+    stats_.allocs += n;
+    if (seg.length == 0) {
+      free_segments_.erase(free_segments_.begin() +
+                           static_cast<std::ptrdiff_t>(i));
+    }
+  }
+  out.ok = true;
+  return out;
+}
+
+sim::TimeNs VmemArena::free_run(sim::Bytes offset, sim::Bytes bytes,
+                                std::uint64_t count) {
+  MKOS_EXPECTS(bytes > 0);
+  const sim::Bytes size = sim::align_up(bytes, quantum_);
+  if (size / quantum_ <= kQuantumCacheClasses) {
+    // Highest block first: the order of the offset stacks is state.
+    sim::TimeNs cost{0};
+    for (std::uint64_t i = count; i-- > 0;) {
+      cost += free(offset + i * size, bytes);
+    }
+    return cost;
+  }
+  MKOS_EXPECTS(offset + count * size <= span_end_);
+  stats_.frees += count;
+  // A fully coalesced free list is canonical, so one insert of the whole
+  // run leaves it as `count` inserts in any order would.
+  if (count > 0) insert_free(offset, count * size);
+  return segment_op_cost_ * static_cast<std::int64_t>(count);
+}
+
 bool VmemArena::import_more(sim::Bytes want) {
   const sim::Bytes ask =
       sim::align_up(std::max(want, import_quantum_), import_quantum_);

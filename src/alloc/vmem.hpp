@@ -27,6 +27,20 @@ struct VmemAlloc {
   sim::TimeNs cost{0};    ///< modeled CPU time spent in the allocator
 };
 
+/// `count` equal blocks laid end to end from `offset`; the block size is the
+/// rounded size of the alloc_run call that carved them.
+struct VmemRun {
+  sim::Bytes offset = 0;
+  std::uint64_t count = 0;
+};
+
+/// Result of a VmemArena::alloc_run call.
+struct VmemRunAlloc {
+  bool ok = false;            ///< false when the source ran dry first
+  std::uint64_t granted = 0;  ///< blocks appended to the caller's runs
+  sim::TimeNs cost{0};        ///< modeled CPU time, failed import included
+};
+
 /// Counters kept by the arena; snapshotted into the `alloc.*` ledger group.
 struct VmemStats {
   std::uint64_t allocs = 0;
@@ -64,6 +78,19 @@ class VmemArena {
   /// Return a previously allocated range; coalesces with neighbors.
   /// Returns the modeled CPU cost of the free.
   sim::TimeNs free(sim::Bytes offset, sim::Bytes bytes);
+
+  /// Exactly `count` calls of alloc(bytes), stopping at the first failure:
+  /// same offsets, costs, stats and arena state. Granted blocks are
+  /// appended to `runs`; a block that starts where the last run ends grows
+  /// that run. Sizes beyond the quantum caches carve in one first-fit pass.
+  [[nodiscard]] VmemRunAlloc alloc_run(sim::Bytes bytes, std::uint64_t count,
+                                       std::vector<VmemRun>& runs);
+
+  /// Exactly free(offset + i * size, bytes) for i from count - 1 down to 0,
+  /// where size is `bytes` rounded up to the quantum. Returns the summed
+  /// cost.
+  sim::TimeNs free_run(sim::Bytes offset, sim::Bytes bytes,
+                       std::uint64_t count);
 
   [[nodiscard]] const VmemStats& stats() const { return stats_; }
   [[nodiscard]] const std::string& name() const { return name_; }
