@@ -12,12 +12,12 @@
 // one-domain-PREFERRED spill and its allocator contention widens the gap as
 // core counts grow.
 //
-//   MKOS_NUMA_MAX_NODES / MKOS_NUMA_REPS shrink the sweep (defaults 256/3).
-//   MKOS_THREADS sets the pool size; MKOS_NUMA_SKIP_SERIAL=1 skips the
-//   serial reference. MKOS_CELL_STORE=<dir> attaches the persistent cell
-//   store; MKOS_NUMA_RESUME=1 skips already-stored cells and
-//   MKOS_SHARD=<i>/<n> runs one keyspace slice (both produce partial,
-//   store-filling runs; the merge pass is an unsharded rerun).
+//   The sweep always runs 1..256 nodes x 3 reps, plus a serial reference
+//   on full runs. MKOS_THREADS sets the pool size. MKOS_CELL_STORE=<dir>
+//   attaches the persistent cell store; MKOS_NUMA_RESUME=1 skips
+//   already-stored cells and MKOS_SHARD=<i>/<n> runs one keyspace slice
+//   (both produce partial, store-filling runs; the merge pass is an
+//   unsharded rerun).
 
 #include <chrono>
 #include <cstdio>
@@ -37,9 +37,10 @@ namespace {
 using namespace mkos;
 using core::SystemConfig;
 
+constexpr int kMaxNodes = 256;
+constexpr int kReps = 3;
+
 struct SweepOpts {
-  int max_nodes = 256;
-  int reps = 3;
   bool resume = false;
   core::ShardSpec shard;
   [[nodiscard]] bool partial() const { return resume || shard.sharded(); }
@@ -63,9 +64,9 @@ std::vector<core::CellResult> run_cells(core::Campaign& campaign,
   spec.configs = {with_alloc_model(SystemConfig::linux_default()),
                   with_alloc_model(SystemConfig::mckernel()),
                   with_alloc_model(SystemConfig::mos())};
-  spec.reps = opts.reps;
+  spec.reps = kReps;
   spec.seed = 42;
-  spec.max_nodes = opts.max_nodes;
+  spec.max_nodes = kMaxNodes;
   spec.resume = opts.resume;
   spec.shard = opts.shard;
   return campaign.run(spec);
@@ -93,8 +94,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 int main() {
   SweepOpts opts;
-  opts.max_nodes = sim::env_int("MKOS_NUMA_MAX_NODES", 256, 1, 1 << 20);
-  opts.reps = sim::env_int("MKOS_NUMA_REPS", 3, 1, 1000);
   opts.resume = sim::env_int("MKOS_NUMA_RESUME", 0, 0, 1) == 1;
   opts.shard = core::ShardSpec::from_env();
   const int threads = sim::default_threads();
@@ -153,7 +152,7 @@ int main() {
   std::printf("%s\n", core::describe(t, threads).c_str());
 
   double serial_s = 0.0;
-  if (!opts.partial() && sim::env_int("MKOS_NUMA_SKIP_SERIAL", 0, 0, 1) == 0) {
+  if (!opts.partial()) {
     sim::WorkStealingPool serial_pool(1);
     core::CellCache serial_cache;
     core::Campaign serial_campaign(serial_pool, serial_cache);
@@ -168,8 +167,8 @@ int main() {
   obs::RunLedger ledger = core::bench_ledger(
       "fig_numa_lookup",
       "IPDPS'18 10.1109/IPDPS.2018.00022, Section III-C extension", 42);
-  ledger.set_meta("reps", std::to_string(opts.reps));
-  ledger.set_meta("max_nodes", std::to_string(opts.max_nodes));
+  ledger.set_meta("reps", std::to_string(kReps));
+  ledger.set_meta("max_nodes", std::to_string(kMaxNodes));
   core::record_config(ledger, with_alloc_model(SystemConfig::linux_default()));
   core::record_config(ledger, with_alloc_model(SystemConfig::mckernel()));
   core::record_config(ledger, with_alloc_model(SystemConfig::mos()));
