@@ -99,7 +99,6 @@ class NodeAllocModel {
   [[nodiscard]] AllocCounters counters() const;
   [[nodiscard]] sim::Bytes lane_refill_bytes(int lane) const;
   [[nodiscard]] const VmemArena& arena() const { return *arena_; }
-  [[nodiscard]] const PersonalityParams& params() const { return params_; }
   [[nodiscard]] int lane_count() const { return lanes_; }
 
   /// Depot occupancy (rounds) above which the reclaim daemon trims, per

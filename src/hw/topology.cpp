@@ -32,10 +32,8 @@ NodeTopology::NodeTopology(std::string name, std::vector<Core> cores,
       bandwidth_by_kind_[k] += d.stream_gbps;
     }
   }
-  quadrant_domains_.resize(static_cast<std::size_t>(quadrants_));
   in_quadrant_.assign(static_cast<std::size_t>(quadrants_), {-1, -1});
   for (const auto& d : domains_) {
-    quadrant_domains_[static_cast<std::size_t>(d.quadrant)].push_back(d.id);
     auto& slots = in_quadrant_[static_cast<std::size_t>(d.quadrant)];
     if (slots[kind_index(d.kind)] < 0) slots[kind_index(d.kind)] = d.id;
   }

@@ -73,10 +73,6 @@ class NodeTopology {
   [[nodiscard]] const std::vector<DomainId>& domains_of_kind(MemKind kind) const {
     return kind_domains_[kind_index(kind)];
   }
-  [[nodiscard]] const std::vector<DomainId>& domains_of_quadrant(int quadrant) const {
-    MKOS_EXPECTS(quadrant >= 0 && quadrant < quadrants_);
-    return quadrant_domains_[static_cast<std::size_t>(quadrant)];
-  }
 
   /// The domain of `kind` in the given quadrant, or -1 if none.
   [[nodiscard]] DomainId domain_in_quadrant(int quadrant, MemKind kind) const {
@@ -126,7 +122,6 @@ class NodeTopology {
   std::vector<std::vector<int>> distances_;
   int quadrants_ = 1;
   std::array<std::vector<DomainId>, 2> kind_domains_;
-  std::vector<std::vector<DomainId>> quadrant_domains_;
   std::vector<std::vector<DomainId>> fallback_;
   std::vector<std::array<std::vector<DomainId>, 2>> kind_major_;
   std::vector<std::vector<std::vector<DomainId>>> fallback_from_;

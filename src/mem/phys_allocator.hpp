@@ -75,7 +75,6 @@ class DomainAllocator {
   /// TrafficHook; -1 (the default) means "unattributed" and hook consumers
   /// typically ignore it.
   void set_traffic_caller(int id) { traffic_caller_ = id; }
-  [[nodiscard]] int traffic_caller() const { return traffic_caller_; }
 
   /// Return an extent previously handed out.
   void free(const Extent& e);

@@ -78,9 +78,6 @@ class MKOS_THREAD_CONFINED("the owning cell's MpiWorld") ResilienceManager {
   [[nodiscard]] const fault::Counters& counters() const { return counters_; }
   [[nodiscard]] const fault::Spec& spec() const { return spec_; }
   [[nodiscard]] sim::TimeNs progress() const { return progress_; }
-  [[nodiscard]] std::uint64_t plan_fingerprint() const {
-    return injector_.plan().fingerprint();
-  }
 
   /// Fraction of a storm that reaches application cores on `os` (the
   /// partitioning story, quantified). Exposed for tests and the bench.

@@ -5,6 +5,7 @@
 
 #include "alloc/model.hpp"
 #include "runtime/resilience.hpp"
+#include "runtime/shm.hpp"
 #include "sim/contracts.hpp"
 
 namespace mkos::runtime {
@@ -84,8 +85,7 @@ void MpiWorld::set_fast_paths(bool on) {
 }
 
 void MpiWorld::mpi_init(sim::Bytes shm_segment_bytes) {
-  shm_ = setup_mpi_shm(job_, shm_segment_bytes);
-  pending_uniform_ += shm_.per_rank_cost;
+  pending_uniform_ += setup_mpi_shm(job_, shm_segment_bytes).per_rank_cost;
   refresh_lanes();
 }
 
@@ -181,7 +181,6 @@ void MpiWorld::alloc_churn(std::uint64_t pairs_per_rank, sim::Bytes obj_bytes) {
     const sim::TimeNs cost =
         alloc_model_->churn(i, pairs_per_rank, obj_bytes);
     lanes_.pending_ns[static_cast<std::size_t>(i)] += cost.ns();
-    alloc_wait_ += cost;
   }
 }
 
@@ -376,10 +375,7 @@ void MpiWorld::synchronize(std::uint64_t sync_cores, sim::TimeNs comm, SyncKind 
   // Fault/recovery charge for this window (nothing runs when detached, so a
   // fault-free world stays bit-identical to a build without the subsystem).
   sim::TimeNs fault_extra{0};
-  if (resilience_ != nullptr) {
-    fault_extra = resilience_->on_sync(span);
-    fault_wait_ += fault_extra;
-  }
+  if (resilience_ != nullptr) fault_extra = resilience_->on_sync(span);
   clock_ += span + w.max + comm + fault_extra;
   compute_time_ += span;
   noise_wait_ += w.max;

@@ -25,7 +25,6 @@
 #include "runtime/collectives.hpp"
 #include "runtime/job.hpp"
 #include "runtime/noise_extremes.hpp"
-#include "runtime/shm.hpp"
 #include "sim/thread_safety.hpp"
 
 namespace mkos::alloc {
@@ -56,16 +55,12 @@ class MKOS_THREAD_CONFINED("one campaign cell task") MpiWorld {
   /// nullptr (the default) detaches — the sync path then does no fault work
   /// at all, keeping fault-free runs bit-identical to pre-subsystem builds.
   void attach_resilience(ResilienceManager* mgr) { resilience_ = mgr; }
-  /// Total extra time charged by the attached manager so far.
-  [[nodiscard]] sim::TimeNs total_fault_wait() const { return fault_wait_; }
 
   /// Attach a kernel-allocator model: alloc_churn() then prices magazine
   /// and depot traffic through it. nullptr (the default) detaches —
   /// alloc_churn becomes a no-op, keeping model-free runs bit-identical to
   /// pre-subsystem builds.
   void attach_alloc(alloc::NodeAllocModel* model) { alloc_model_ = model; }
-  /// Total allocator time charged across all lanes so far.
-  [[nodiscard]] sim::TimeNs total_alloc_wait() const { return alloc_wait_; }
 
   // ------------------------------------------------- per-rank pending work
   /// Memory-bandwidth-bound work: every rank streams `bytes` through its
@@ -112,9 +107,6 @@ class MKOS_THREAD_CONFINED("one campaign cell task") MpiWorld {
   [[nodiscard]] std::uint64_t collective_stage_count() const { return coll_stages_; }
   /// Cumulative stall time the collectives absorbed from coupled noise.
   [[nodiscard]] sim::TimeNs total_collective_stall() const { return coll_stall_; }
-  [[nodiscard]] sim::TimeNs total_noise_wait() const { return noise_wait_; }
-  [[nodiscard]] sim::TimeNs total_comm_time() const { return comm_time_; }
-  [[nodiscard]] const ShmSetupResult& shm_setup() const { return shm_; }
 
   /// Collective-model constants (exposed for the ablation bench).
   struct CollectiveModel {
@@ -318,15 +310,12 @@ class MKOS_THREAD_CONFINED("one campaign cell task") MpiWorld {
   sim::TimeNs comm_time_{0};
   sim::TimeNs compute_time_{0};
   ResilienceManager* resilience_ = nullptr;
-  sim::TimeNs fault_wait_{0};
   alloc::NodeAllocModel* alloc_model_ = nullptr;
-  sim::TimeNs alloc_wait_{0};
   bool trace_enabled_ = false;
   std::vector<SyncEvent> trace_;
   std::uint64_t allreduces_ = 0;
   std::uint64_t coll_stages_ = 0;
   sim::TimeNs coll_stall_{0};
-  ShmSetupResult shm_;
 };
 
 }  // namespace mkos::runtime

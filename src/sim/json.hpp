@@ -32,24 +32,18 @@ class JsonValue {
 
   [[nodiscard]] Kind kind() const { return kind_; }
   [[nodiscard]] bool is_null() const { return kind_ == Kind::kNull; }
-  [[nodiscard]] bool is_bool() const { return kind_ == Kind::kBool; }
-  [[nodiscard]] bool is_number() const { return kind_ == Kind::kNumber; }
   [[nodiscard]] bool is_string() const { return kind_ == Kind::kString; }
   [[nodiscard]] bool is_array() const { return kind_ == Kind::kArray; }
   [[nodiscard]] bool is_object() const { return kind_ == Kind::kObject; }
 
   /// Decoded bytes of a string value (empty for other kinds).
   [[nodiscard]] const std::string& as_string() const { return scalar_; }
-  [[nodiscard]] bool as_bool() const { return bool_; }
 
   /// Numeric views of a number token. Non-number kinds and out-of-range
   /// tokens return nullopt; `as_double` accepts any grammar-valid token.
   [[nodiscard]] std::optional<double> as_double() const;
   [[nodiscard]] std::optional<std::uint64_t> as_u64() const;
   [[nodiscard]] std::optional<std::int64_t> as_i64() const;
-
-  /// The untouched number token ("1.25e-3"); empty for other kinds.
-  [[nodiscard]] const std::string& number_token() const { return scalar_; }
 
   [[nodiscard]] const std::vector<JsonValue>& items() const { return array_; }
   [[nodiscard]] const std::vector<std::pair<std::string, JsonValue>>& members() const {

@@ -5,6 +5,7 @@
 
 #include "core/config.hpp"
 #include "runtime/noise_extremes.hpp"
+#include "runtime/shm.hpp"
 #include "runtime/simmpi.hpp"
 
 namespace {
