@@ -1,4 +1,5 @@
-# Bench binaries: one per paper table/figure plus micro-benchmarks.
+# Bench binaries: one per paper table/figure plus the engine and
+# scheduler acceptance benches.
 # Declared with include() from the top-level CMakeLists so that
 # ${CMAKE_BINARY_DIR}/bench contains ONLY executables — the harness runs
 # `for b in build/bench/*; do $b; done`.
@@ -8,13 +9,6 @@ function(mkos_add_bench name)
   target_link_libraries(${name} PRIVATE mkos mkos_warnings)
   set_target_properties(${name} PROPERTIES
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
-endfunction()
-
-function(mkos_add_gbench name)
-  mkos_add_bench(${name})
-  # No benchmark_main: micro_substrates carries its own main so it can
-  # emit a BENCH_*.json run ledger after the timing loops.
-  target_link_libraries(${name} PRIVATE benchmark::benchmark)
 endfunction()
 
 mkos_add_bench(fig4_overview)
@@ -39,4 +33,3 @@ mkos_add_bench(event_queue)
 mkos_add_bench(sweep_sched)
 mkos_add_bench(resilience)
 mkos_add_bench(fig_numa_lookup)
-mkos_add_gbench(micro_substrates)

@@ -12,8 +12,8 @@
 // byte-identical): open-table probe counts and whole-cycle heap memo hits as
 // engine.cache.*, and the arena's slab/tombstone accounting as engine.queue.*.
 //
-//   MKOS_EQ_EVENTS scales the per-workload event counts (default 200000).
-//   MKOS_EQ_REPS   timed repetitions per side, interleaved; min wall wins.
+//   Each workload runs 200,000 events; each side is timed 3 times,
+//   interleaved, and the minimum wall time wins.
 
 #include <algorithm>
 #include <chrono>
@@ -28,7 +28,6 @@
 #include "core/obs_glue.hpp"
 #include "runtime/simmpi.hpp"
 #include "sim/contracts.hpp"
-#include "sim/env.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/format.hpp"
 #include "sim/rng.hpp"
@@ -235,8 +234,8 @@ runtime::MpiWorld::EngineCounters sample_cache_counters() {
 }  // namespace
 
 int main() {
-  const int events = sim::env_int("MKOS_EQ_EVENTS", 200000, 1000, 100000000);
-  const int reps = sim::env_int("MKOS_EQ_REPS", 3, 1, 100);
+  constexpr int kEvents = 200000;  // per workload
+  constexpr int kReps = 3;         // timed repetitions per side
 
   sim::print_banner("event_queue — pointer-heap vs flat event arena",
                     "event-arena acceptance microbenchmark (DESIGN.md §13)");
@@ -249,10 +248,10 @@ int main() {
   Outcome legacy_churn;
   Outcome arena_drain;
   Outcome arena_churn;
-  for (int rep = 0; rep < reps; ++rep) {
+  for (int rep = 0; rep < kReps; ++rep) {
     const std::uint64_t seed = 42 + 2 * static_cast<std::uint64_t>(rep);
-    const double lw = run_side<LegacyQueue>(events, seed, &legacy_drain, &legacy_churn);
-    const double aw = run_side<sim::EventQueue>(events, seed, &arena_drain, &arena_churn);
+    const double lw = run_side<LegacyQueue>(kEvents, seed, &legacy_drain, &legacy_churn);
+    const double aw = run_side<sim::EventQueue>(kEvents, seed, &arena_drain, &arena_churn);
     legacy_wall = rep == 0 ? lw : std::min(legacy_wall, lw);
     arena_wall = rep == 0 ? aw : std::min(arena_wall, aw);
     // Equivalence gate: both engines executed the same events in the same
@@ -261,7 +260,7 @@ int main() {
     MKOS_ASSERT(same_events(legacy_churn, arena_churn));
   }
 
-  const double total_events = 2.0 * static_cast<double>(events);
+  const double total_events = 2.0 * static_cast<double>(kEvents);
   const double legacy_rate = total_events / legacy_wall;
   const double arena_rate = total_events / arena_wall;
   const double speedup = arena_rate / legacy_rate;
@@ -287,8 +286,8 @@ int main() {
 
   obs::RunLedger ledger = core::bench_ledger(
       "event_queue", "event-arena acceptance microbenchmark", 42);
-  ledger.set_meta("events", std::to_string(events));
-  ledger.set_meta("reps", std::to_string(reps));
+  ledger.set_meta("events", std::to_string(kEvents));
+  ledger.set_meta("reps", std::to_string(kReps));
   // Deterministic block — the arena's slab/tombstone accounting...
   ledger.incr("engine.queue.executed", arena_drain.executed + arena_churn.executed);
   ledger.incr("engine.queue.cancelled", arena_drain.cancelled + arena_churn.cancelled);

@@ -12,14 +12,12 @@
 // one-domain-PREFERRED spill and its allocator contention widens the gap as
 // core counts grow.
 //
-//   The sweep always runs 1..256 nodes x 3 reps, plus a serial reference
-//   on full runs. MKOS_THREADS sets the pool size. MKOS_CELL_STORE=<dir>
-//   attaches the persistent cell store; MKOS_NUMA_RESUME=1 skips
-//   already-stored cells and MKOS_SHARD=<i>/<n> runs one keyspace slice
-//   (both produce partial, store-filling runs; the merge pass is an
-//   unsharded rerun).
+//   The sweep always runs 1..256 nodes x 3 reps. MKOS_THREADS sets the
+//   pool size. MKOS_CELL_STORE=<dir> attaches the persistent cell store,
+//   so a rerun over a partly filled store simulates only the missing
+//   cells; MKOS_SHARD=<i>/<n> runs one keyspace slice (a partial,
+//   store-filling run; the merge pass is an unsharded rerun).
 
-#include <chrono>
 #include <cstdio>
 #include <map>
 #include <set>
@@ -28,7 +26,6 @@
 
 #include "core/campaign.hpp"
 #include "core/obs_glue.hpp"
-#include "sim/env.hpp"
 #include "sim/format.hpp"
 #include "sim/work_stealing_pool.hpp"
 
@@ -39,12 +36,6 @@ using core::SystemConfig;
 
 constexpr int kMaxNodes = 256;
 constexpr int kReps = 3;
-
-struct SweepOpts {
-  bool resume = false;
-  core::ShardSpec shard;
-  [[nodiscard]] bool partial() const { return resume || shard.sharded(); }
-};
 
 const std::vector<std::string>& placement_apps() {
   static const std::vector<std::string> apps = {
@@ -58,7 +49,7 @@ SystemConfig with_alloc_model(SystemConfig config) {
 }
 
 std::vector<core::CellResult> run_cells(core::Campaign& campaign,
-                                        const SweepOpts& opts) {
+                                        const core::ShardSpec& shard) {
   core::CampaignSpec spec;
   spec.apps = placement_apps();
   spec.configs = {with_alloc_model(SystemConfig::linux_default()),
@@ -67,8 +58,7 @@ std::vector<core::CellResult> run_cells(core::Campaign& campaign,
   spec.reps = kReps;
   spec.seed = 42;
   spec.max_nodes = kMaxNodes;
-  spec.resume = opts.resume;
-  spec.shard = opts.shard;
+  spec.shard = shard;
   return campaign.run(spec);
 }
 
@@ -77,25 +67,17 @@ std::map<std::string, std::map<std::string, std::vector<core::ScalingPoint>>> cu
     const std::vector<core::CellResult>& cells) {
   std::map<std::string, std::map<std::string, std::vector<core::ScalingPoint>>> curves;
   for (const core::CellResult& cell : cells) {
-    if (cell.skipped) continue;  // sharded/resumed runs: no statistics
+    if (cell.skipped) continue;  // sharded runs: no statistics
     curves[cell.config_label][cell.app].push_back(core::ScalingPoint{
         cell.nodes, cell.stats.median(), cell.stats.min(), cell.stats.max()});
   }
   return curves;
 }
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  // mkos-lint: allow(wall-clock) — host-side telemetry only: times the sweep
-  // itself for the speedup report; never feeds a simulated result.
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
-
 }  // namespace
 
 int main() {
-  SweepOpts opts;
-  opts.resume = sim::env_int("MKOS_NUMA_RESUME", 0, 0, 1) == 1;
-  opts.shard = core::ShardSpec::from_env();
+  const core::ShardSpec shard = core::ShardSpec::from_env();
   const int threads = sim::default_threads();
 
   sim::print_banner(
@@ -106,18 +88,13 @@ int main() {
   const auto store = core::CellStore::from_env();
   core::CellCache cache(store.get());
   core::Campaign campaign(pool, cache);
-  // mkos-lint: allow(wall-clock) — host telemetry: parallel sweep wall time.
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto cells = run_cells(campaign, opts);
-  const double parallel_s = seconds_since(t0);
+  const auto cells = run_cells(campaign, shard);
 
   const auto curves = curves_of(cells);
   // median FOM of (config, app) at the largest node count actually swept.
   std::map<std::string, std::map<std::string, double>> at_max;
-  if (opts.partial()) {
-    std::printf("partial sweep (%s%s): figure rendering deferred to the merge pass\n\n",
-                opts.shard.sharded() ? "sharded" : "",
-                opts.resume ? (opts.shard.sharded() ? ", resume" : "resume") : "");
+  if (shard.sharded()) {
+    std::printf("sharded sweep: figure rendering deferred to the merge pass\n\n");
   } else {
     for (const auto& [config, by_app] : curves) {
       sim::Table table{{config + " nodes", "first-touch", "interleave", "mcdram",
@@ -151,19 +128,6 @@ int main() {
   const core::CampaignTelemetry& t = campaign.telemetry();
   std::printf("%s\n", core::describe(t, threads).c_str());
 
-  double serial_s = 0.0;
-  if (!opts.partial()) {
-    sim::WorkStealingPool serial_pool(1);
-    core::CellCache serial_cache;
-    core::Campaign serial_campaign(serial_pool, serial_cache);
-    // mkos-lint: allow(wall-clock) — host telemetry: serial reference timing.
-    const auto s0 = std::chrono::steady_clock::now();
-    (void)run_cells(serial_campaign, opts);
-    serial_s = seconds_since(s0);
-    std::printf("serial reference (1 thread, cold cache): %.3f s   speedup: %.2fx\n",
-                serial_s, parallel_s > 0.0 ? serial_s / parallel_s : 0.0);
-  }
-
   obs::RunLedger ledger = core::bench_ledger(
       "fig_numa_lookup",
       "IPDPS'18 10.1109/IPDPS.2018.00022, Section III-C extension", 42);
@@ -180,18 +144,12 @@ int main() {
     if (!recorded.insert(series).second) continue;
     core::record_run_stats(ledger, series, cell.stats);
   }
-  if (!opts.partial()) {
-    for (const auto& [config, medians] : at_max) {
-      for (const auto& [placement, median] : medians) {
-        ledger.set_gauge("sep." + config + "." + placement, median);
-      }
+  for (const auto& [config, medians] : at_max) {  // empty on sharded runs
+    for (const auto& [placement, median] : medians) {
+      ledger.set_gauge("sep." + config + "." + placement, median);
     }
   }
   core::record_campaign(ledger, t, threads, store.get());
-  ledger.set_host("wall_s_serial", sim::json_number(serial_s));
-  ledger.set_host("speedup", sim::json_number(serial_s > 0.0 && parallel_s > 0.0
-                                                   ? serial_s / parallel_s
-                                                   : 0.0));
   core::emit(ledger);
   return 0;
 }

@@ -6,8 +6,7 @@
 // much headroom; this binary measures exactly that, plus the equivalent ratio
 // for maximum-of-n draws, and cross-checks that both samplers agree on the
 // mean stolen fraction (they are distribution-equivalent, not bit-equal).
-//
-//   MKOS_HOTPATH_SAMPLES scales the timed iteration counts (default 20000).
+// Each side times 20,000 sum draws and 1,250 maximum draws.
 
 #include <algorithm>
 #include <chrono>
@@ -16,7 +15,6 @@
 
 #include "core/obs_glue.hpp"
 #include "kernel/noise.hpp"
-#include "sim/env.hpp"
 #include "sim/format.hpp"
 
 namespace {
@@ -82,7 +80,7 @@ struct SideResult {
 }  // namespace
 
 int main() {
-  const int samples = sim::env_int("MKOS_HOTPATH_SAMPLES", 20000, 100, 100000000);
+  constexpr int kSamples = 20000;
   const sim::TimeNs span = sim::seconds(10.0);
   const kernel::NoiseModel model = kernel::noise_linux_co_tenant();
 
@@ -108,7 +106,7 @@ int main() {
       double stolen_ns = 0.0;
       // mkos-lint: allow(wall-clock) — host telemetry: sampler throughput.
       const auto t0 = std::chrono::steady_clock::now();
-      for (int i = 0; i < samples; ++i) {
+      for (int i = 0; i < kSamples; ++i) {
         stolen_ns += naive_sample_ns(model, span, rng, &events);
       }
       const double wall = seconds_since(t0);
@@ -116,7 +114,7 @@ int main() {
       if (rep == 0) {
         naive.events = events;
         naive.mean_fraction =
-            stolen_ns / (static_cast<double>(samples) * static_cast<double>(span.ns()));
+            stolen_ns / (static_cast<double>(kSamples) * static_cast<double>(span.ns()));
       }
     }
     {
@@ -125,7 +123,7 @@ int main() {
       double stolen_ns = 0.0;
       // mkos-lint: allow(wall-clock) — host telemetry: sampler throughput.
       const auto t0 = std::chrono::steady_clock::now();
-      for (int i = 0; i < samples; ++i) {
+      for (int i = 0; i < kSamples; ++i) {
         stolen_ns += static_cast<double>(model.sample(span, rng, &rep_counters).ns());
       }
       const double wall = seconds_since(t0);
@@ -133,13 +131,13 @@ int main() {
       if (rep == 0) {
         counters = rep_counters;
         analytic.mean_fraction =
-            stolen_ns / (static_cast<double>(samples) * static_cast<double>(span.ns()));
+            stolen_ns / (static_cast<double>(kSamples) * static_cast<double>(span.ns()));
       }
     }
   }
 
-  const double naive_rate = static_cast<double>(samples) / naive.wall_s;
-  const double analytic_rate = static_cast<double>(samples) / analytic.wall_s;
+  const double naive_rate = static_cast<double>(kSamples) / naive.wall_s;
+  const double analytic_rate = static_cast<double>(kSamples) / analytic.wall_s;
   const double sum_speedup = analytic_rate / naive_rate;
 
   sim::Table sums{{"sampler", "samples/s", "events drawn", "mean stolen fraction"}};
@@ -161,7 +159,7 @@ int main() {
   const NoiseComponent burst{"housekeeping", 25.0, sim::microseconds(4),
                              NoiseComponent::Dist::kExponential, 1.5, sim::TimeNs{0}};
   const std::uint64_t max_n = 4096;
-  const int max_iters = std::max(samples / 16, 100);
+  constexpr int kMaxIters = kSamples / 16;
 
   double naive_max_mean = 0.0;
   double naive_max_wall = 0.0;
@@ -169,9 +167,9 @@ int main() {
     sim::Rng rng = sim::Rng(42).fork(3);
     // mkos-lint: allow(wall-clock) — host telemetry: sampler throughput.
     const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < max_iters; ++i) naive_max_mean += naive_max_ns(burst, max_n, rng);
+    for (int i = 0; i < kMaxIters; ++i) naive_max_mean += naive_max_ns(burst, max_n, rng);
     naive_max_wall = seconds_since(t0);
-    naive_max_mean /= static_cast<double>(max_iters);
+    naive_max_mean /= static_cast<double>(kMaxIters);
   }
   double analytic_max_mean = 0.0;
   double analytic_max_wall = 0.0;
@@ -179,11 +177,11 @@ int main() {
     sim::Rng rng = sim::Rng(42).fork(4);
     // mkos-lint: allow(wall-clock) — host telemetry: sampler throughput.
     const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < max_iters; ++i) {
+    for (int i = 0; i < kMaxIters; ++i) {
       analytic_max_mean += kernel::sample_component_max_ns(burst, max_n, rng);
     }
     analytic_max_wall = seconds_since(t0);
-    analytic_max_mean /= static_cast<double>(max_iters);
+    analytic_max_mean /= static_cast<double>(kMaxIters);
   }
   const double max_speedup = naive_max_wall / analytic_max_wall;
   std::printf("max-of-%llu draws: naive %.3f ms mean, analytic %.3f ms mean, %.0fx faster\n\n",
@@ -192,7 +190,7 @@ int main() {
 
   obs::RunLedger ledger = core::bench_ledger(
       "hotpath_sampling", "sampling-engine acceptance microbenchmark", 42);
-  ledger.set_meta("samples", std::to_string(samples));
+  ledger.set_meta("samples", std::to_string(kSamples));
   ledger.set_meta("span_s", "10");
   ledger.set_meta("model", "noise_linux_co_tenant");
   // Deterministic block: what was drawn and what it averaged to.

@@ -28,7 +28,7 @@
 // are positional, and cells merge in grid order — byte-identical for any
 // MKOS_THREADS value.
 //
-//   MKOS_RES_MAX_NODES / MKOS_RES_REPS shrink the sweep for smoke runs;
+//   The sweep always runs 64, 256, 1,024 and 2,048 nodes x 3 reps.
 //   MKOS_THREADS sets the pool size.
 
 #include <algorithm>
@@ -41,7 +41,6 @@
 
 #include "core/campaign.hpp"
 #include "core/obs_glue.hpp"
-#include "sim/env.hpp"
 #include "sim/format.hpp"
 #include "sim/work_stealing_pool.hpp"
 
@@ -52,6 +51,8 @@ using core::SystemConfig;
 
 constexpr const char* kApp = "MiniFE";
 constexpr std::uint64_t kSeed = 42;
+constexpr int kMaxNodes = 2048;
+constexpr int kReps = 3;
 
 struct Scenario {
   std::string label;               // ledger/gauge key fragment
@@ -116,21 +117,12 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 int main() {
-  // Floor of 16: MiniFE strong-scales a fixed problem, and below its
-  // smallest supported scale the per-node share no longer fits in memory.
-  const int max_nodes = sim::env_int("MKOS_RES_MAX_NODES", 2048, 16, 1 << 20);
-  const int reps = sim::env_int("MKOS_RES_REPS", 3, 1, 1000);
   const int threads = sim::default_threads();
 
   sim::print_banner("Resilience — fault rate x recovery policy x kernel",
                     "IPDPS'18 10.1109/IPDPS.2018.00022, Section II (partitioning)");
 
-  std::vector<int> node_counts;
-  for (const int n : {64, 256, 1024, 2048}) {
-    if (n <= max_nodes) node_counts.push_back(n);
-  }
-  // Caps below 64 still get one cell at MiniFE's smallest supported scale.
-  if (node_counts.empty()) node_counts.push_back(16);
+  const std::vector<int> node_counts = {64, 256, 1024, kMaxNodes};
 
   const std::vector<SystemConfig> kernels = {
       SystemConfig::linux_default(), SystemConfig::mckernel(), SystemConfig::mos()};
@@ -144,8 +136,8 @@ int main() {
   obs::RunLedger ledger = core::bench_ledger(
       "resilience", "IPDPS'18 10.1109/IPDPS.2018.00022, Section II", kSeed);
   ledger.set_meta("app", kApp);
-  ledger.set_meta("reps", std::to_string(reps));
-  ledger.set_meta("max_nodes", std::to_string(max_nodes));
+  ledger.set_meta("reps", std::to_string(kReps));
+  ledger.set_meta("max_nodes", std::to_string(kMaxNodes));
   for (const SystemConfig& k : kernels) core::record_config(ledger, k);
 
   // ---------------------------------------------------- Phase A: baselines
@@ -153,7 +145,7 @@ int main() {
   base_spec.apps = {kApp};
   base_spec.configs = kernels;
   base_spec.nodes = node_counts;
-  base_spec.reps = reps;
+  base_spec.reps = kReps;
   base_spec.seed = kSeed;
   const auto base_cells = campaign.run(base_spec);
 
@@ -162,7 +154,7 @@ int main() {
     Baseline b;
     b.fom = cell.stats.median();
     b.progress_s = static_cast<double>(cell.stats.ledger.counter("runtime.compute_ns")) /
-                   static_cast<double>(reps) * 1e-9;
+                   static_cast<double>(kReps) * 1e-9;
     baselines[{cell.config_label, cell.nodes}] = b;
     core::record_run_stats(ledger,
                            "base." + cell.config_label + ".n" + std::to_string(cell.nodes),
@@ -196,7 +188,7 @@ int main() {
     core::CampaignSpec spec;
     spec.apps = {kApp};
     spec.nodes = {nodes};
-    spec.reps = reps;
+    spec.reps = kReps;
     spec.seed = kSeed;
     // Grid order is config-major, mirroring this meta list.
     std::vector<std::pair<std::string, const Scenario*>> meta;
@@ -247,7 +239,7 @@ int main() {
   // Fixed rate (k=8 fail-stops), checkpoint-only policy, McKernel at the
   // mid node count: sweep the interval as fractions of the horizon and find
   // the interior optimum.
-  const int sweep_nodes = node_counts[std::min<std::size_t>(1, node_counts.size() - 1)];
+  const int sweep_nodes = node_counts[1];
   const Baseline& sweep_base = baselines.at({"McKernel", sweep_nodes});
   const std::vector<double> fractions = {1.0 / 128, 1.0 / 64, 1.0 / 32,
                                          1.0 / 16, 1.0 / 8, 1.0 / 4, 1.0 / 2};
@@ -259,7 +251,7 @@ int main() {
     core::CampaignSpec spec;
     spec.apps = {kApp};
     spec.nodes = {sweep_nodes};
-    spec.reps = reps;
+    spec.reps = kReps;
     spec.seed = kSeed;
     for (const double f : fractions) {
       SystemConfig faulty = SystemConfig::mckernel();

@@ -12,7 +12,7 @@
 // ratio, not wall clock: with more workers than CPUs the workers
 // serialize and every schedule takes total-work time, so wall clock cannot
 // distinguish schedulers there. Both sides are the greedy list schedule on
-// `threads` virtual workers (the next free worker takes the next task):
+// `kThreads` virtual workers (the next free worker takes the next task):
 // the FIFO model takes the tasks in submission order, which is what a
 // shared-queue pool does; the work-stealing side takes them in the order
 // the REAL pool started them, which each task body records with one atomic
@@ -23,7 +23,7 @@
 // Section 2: a real campaign grid with genuine cost skew (Lulesh 2.0 on
 // Linux pays the brk-churn price — about 2–3x a MiniFE cell, 1.4–3.5 ms
 // against 0.5–1.2 ms on a 4-core Xeon) timed on a 1-worker and a
-// `threads`-worker pool, asserting both produce byte-identical cell
+// `kThreads`-worker pool, asserting both produce byte-identical cell
 // statistics (the positional-seed determinism contract), and printing the
 // 1-worker cell cost against the placement model's estimate.
 //
@@ -35,9 +35,8 @@
 // every cell a verified disk hit, zero writes, statistics identical to
 // direct simulation.
 //
-//   MKOS_SWEEP_SCHED_REPS    repetitions of section 1 (default 3)
-//   MKOS_SWEEP_SCHED_THREADS pool width for the timed runs (default 8)
-//   MKOS_SWEEP_SCHED_CELL_REPS  per-cell simulation reps (default 2)
+//   Section 1 runs 3 times; the timed pools have 8 workers and each cell
+//   simulates 2 reps.
 
 #include <unistd.h>
 
@@ -55,7 +54,6 @@
 
 #include "core/campaign.hpp"
 #include "core/obs_glue.hpp"
-#include "sim/env.hpp"
 #include "sim/format.hpp"
 #include "sim/work_stealing_pool.hpp"
 #include "workloads/app.hpp"
@@ -65,17 +63,21 @@ namespace {
 using namespace mkos;
 using core::SystemConfig;
 
+constexpr int kTimingReps = 3;  ///< repetitions of section 1
+constexpr int kThreads = 8;     ///< pool width for the timed runs
+constexpr int kCellReps = 2;    ///< per-cell simulation reps
+
 /// Real-cell grid with genuine skew: Lulesh 2.0 cells on the Linux config
 /// simulate the paper's brk churn at full price while every LWK cell is
 /// light; app-major grid order puts the whole Lulesh block last.
-core::CampaignSpec cell_spec(int cell_reps) {
+core::CampaignSpec cell_spec() {
   core::CampaignSpec spec;
   spec.apps = {"MiniFE", "Lulesh2.0"};
   spec.configs = {SystemConfig::linux_default(), SystemConfig::mckernel(),
                   SystemConfig::mos(),
                   SystemConfig::for_os(kernel::OsKind::kFusedOs)};
   spec.nodes = {16, 128, 512};  // both apps accept these (MiniFE needs >= 16)
-  spec.reps = cell_reps;
+  spec.reps = kCellReps;
   spec.seed = 7;
   return spec;
 }
@@ -180,10 +182,7 @@ bool same_results(const std::vector<core::CellResult>& a,
 }  // namespace
 
 int main() {
-  const int reps = sim::env_int("MKOS_SWEEP_SCHED_REPS", 3, 1, 100);
-  const int threads = sim::env_int("MKOS_SWEEP_SCHED_THREADS", 8, 2, 256);
-  const int cell_reps = sim::env_int("MKOS_SWEEP_SCHED_CELL_REPS", 2, 1, 100);
-  const core::CampaignSpec spec = cell_spec(cell_reps);
+  const core::CampaignSpec spec = cell_spec();
 
   sim::print_banner("Scheduler sweep — work stealing vs a FIFO model, 2-shard store",
                     "campaign engine; skewed cost mix (DESIGN.md §16)");
@@ -197,10 +196,10 @@ int main() {
   double wsp_s = 1e300;
   double wsp_model = 0.0;
   sim::TaskPool::SchedTelemetry sched{};
-  for (int r = 0; r < reps; ++r) {
-    sim::WorkStealingPool pool(threads);
+  for (int r = 0; r < kTimingReps; ++r) {
+    sim::WorkStealingPool pool(kThreads);
     wsp_s = std::min(wsp_s, timed_synthetic(pool, costs, &started, &sink));
-    wsp_model = std::max(wsp_model, list_schedule_makespan(costs, started, threads));
+    wsp_model = std::max(wsp_model, list_schedule_makespan(costs, started, kThreads));
     sched = pool.sched_telemetry();
   }
   std::uint64_t sink_sum = 0;
@@ -215,11 +214,11 @@ int main() {
   // first and collapses toward 1.0 when it starts it last.
   double total_cost = 0.0;
   for (const double c : costs) total_cost += c;
-  const double fifo_model = list_schedule_makespan(costs, submitted, threads);
+  const double fifo_model = list_schedule_makespan(costs, submitted, kThreads);
   const double speedup = wsp_model > 0.0 ? fifo_model / wsp_model : 0.0;
-  sim::Table t1{{"schedule (" + std::to_string(threads) + " workers)",
+  sim::Table t1{{"schedule (" + std::to_string(kThreads) + " workers)",
                  "makespan (cost units)", "speedup",
-                 "wall s (min of " + std::to_string(reps) + ")"}};
+                 "wall s (min of " + std::to_string(kTimingReps) + ")"}};
   t1.add_row({"FIFO submission order (model)", sim::fmt(fifo_model, 1), "1.00x", "-"});
   t1.add_row({"WorkStealingPool start order (LPT)", sim::fmt(wsp_model, 1),
               sim::fmt(speedup, 2) + "x", sim::fmt(wsp_s, 3)});
@@ -243,7 +242,7 @@ int main() {
     serial_cells_s = timed_cells(pool, spec, &serial_cells);
   }
   {
-    sim::WorkStealingPool pool(threads);
+    sim::WorkStealingPool pool(kThreads);
     wsp_cells_s = timed_cells(pool, spec, &wsp_cells);
   }
   if (!same_results(serial_cells, wsp_cells)) {
@@ -256,14 +255,14 @@ int main() {
   for (const core::CellResult& c : serial_cells) {
     if (c.config_label != "Linux" || c.from_cache) continue;
     tc.add_row({c.app + " @" + std::to_string(c.nodes), sim::fmt(c.wall_ms, 1),
-                sim::fmt(static_cast<double>(c.nodes) * cell_reps *
+                sim::fmt(static_cast<double>(c.nodes) * kCellReps *
                              workloads::app_cost_weight(c.app),
                          0)});
   }
   std::printf("%s\n", tc.to_string().c_str());
   std::printf("real cells (%zu): 1 worker %.3f s, %d workers %.3f s, statistics "
               "identical\n\n",
-              serial_cells.size(), serial_cells_s, threads, wsp_cells_s);
+              serial_cells.size(), serial_cells_s, kThreads, wsp_cells_s);
 
   // --- Section 3: two concurrent shards over one store, then merge ------
   namespace fs = std::filesystem;
@@ -275,7 +274,7 @@ int main() {
 
   // Each shard gets half the machine: two half-size pools standing in for
   // two hosts. Claims through the shared store mediate the steal phase.
-  const int half = threads / 2;
+  const int half = kThreads / 2;
   double shard_walls[2] = {0.0, 0.0};
   core::CampaignTelemetry shard_telemetry[2];
   {
@@ -302,7 +301,7 @@ int main() {
   // cell is a verified disk hit (or an in-run duplicate), zero writes.
   core::CellStore merge_store(store_root.string());
   core::CellCache merge_cache(&merge_store);
-  sim::WorkStealingPool merge_pool(threads);
+  sim::WorkStealingPool merge_pool(kThreads);
   core::Campaign merge_campaign(merge_pool, merge_cache);
   // mkos-lint: allow(wall-clock) — host telemetry: merge wall time.
   const auto m0 = std::chrono::steady_clock::now();
@@ -337,16 +336,16 @@ int main() {
   std::printf("%s\n", t2.to_string().c_str());
   std::printf("2-shard efficiency vs one %d-thread machine: %.2f "
               "(1.0 = linear: each half-machine shard matches the full pool)\n\n",
-              threads, efficiency);
+              kThreads, efficiency);
 
   fs::remove_all(store_root, ec);
 
   // --- Ledger ------------------------------------------------------------
   obs::RunLedger ledger =
       core::bench_ledger("sweep_sched", "campaign scheduler microbenchmark", 7);
-  ledger.set_meta("cell_reps", std::to_string(cell_reps));
-  ledger.set_meta("timing_reps", std::to_string(reps));
-  core::record_campaign(ledger, merge_campaign.telemetry(), threads, &merge_store);
+  ledger.set_meta("cell_reps", std::to_string(kCellReps));
+  ledger.set_meta("timing_reps", std::to_string(kTimingReps));
+  core::record_campaign(ledger, merge_campaign.telemetry(), kThreads, &merge_store);
   ledger.set_host("wall_s_wsp", sim::json_number(wsp_s));
   ledger.set_host("makespan_fifo_model", sim::json_number(fifo_model));
   ledger.set_host("makespan_wsp_model", sim::json_number(wsp_model));

@@ -10,6 +10,8 @@
 #include <bit>
 #include <cstdint>
 
+#include "sim/hash.hpp"
+
 namespace mkos::alloc {
 
 /// Knobs of the VMem + per-CPU-magazine allocator model (DESIGN.md §17).
@@ -46,13 +48,8 @@ struct AllocSpec {
   /// core::SystemConfig::fingerprint() — but only when enabled(), so inert
   /// configs keep their pre-subsystem cache keys.
   [[nodiscard]] std::uint64_t fingerprint() const {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    const auto mix = [&h](std::uint64_t v) {
-      for (int byte = 0; byte < 8; ++byte) {
-        h ^= (v >> (byte * 8)) & 0xffULL;
-        h *= 0x100000001b3ULL;
-      }
-    };
+    std::uint64_t h = sim::kFnvOffsetBasis;
+    const auto mix = [&h](std::uint64_t v) { h = sim::fnv1a_word(h, v); };
     mix(static_cast<std::uint64_t>(model_allocator));
     mix(std::bit_cast<std::uint64_t>(contention_scale));
     mix(std::bit_cast<std::uint64_t>(churn_cost_scale));

@@ -166,14 +166,13 @@ std::vector<CellResult> Campaign::run(const CampaignSpec& spec) {
   // pure function of the request sequence, so resolving them here, before
   // any worker fills the tier, keeps the deterministic cache_hits counter
   // independent of scheduling. A hit is one copy, moved into its result.
-  // Resume skips the probe: its tasks consult contains() on both tiers.
   std::vector<const Cell*> pending;  // owned first occurrences not served yet
   std::vector<const Cell*> foreign;  // sharded: another process's slice
   std::unordered_map<std::uint64_t, std::size_t> first_occurrence;
   std::vector<std::pair<std::size_t, std::size_t>> duplicates;  // (dst, src) indices
   // How each result was resolved; written by its own task, tallied after
   // the join in grid order.
-  enum class Served : std::uint8_t { kNone, kMemory, kDisk, kResumed, kSimulated };
+  enum class Served : std::uint8_t { kNone, kMemory, kDisk, kSimulated };
   std::vector<Served> served(results.size(), Served::kNone);
   for (const Cell& cell : grid) {
     if (spec.shard.sharded() &&
@@ -191,21 +190,19 @@ std::vector<CellResult> Campaign::run(const CampaignSpec& spec) {
       duplicates.emplace_back(cell.result_index, it->second);
       continue;
     }
-    if (!spec.resume) {
-      if (auto cached = cache_.find(cell.key, cell.id)) {
-        results[cell.result_index].stats = std::move(*cached);
-        results[cell.result_index].from_cache = true;
-        served[cell.result_index] = Served::kMemory;
-        continue;
-      }
+    if (auto cached = cache_.find(cell.key, cell.id)) {
+      results[cell.result_index].stats = std::move(*cached);
+      results[cell.result_index].from_cache = true;
+      served[cell.result_index] = Served::kMemory;
+      continue;
     }
     pending.push_back(&cell);
   }
 
-  // Owned-slice fan-out: one task per pending cell checks resume, loads the
-  // cell from the store, or simulates it — so disk loads scale with workers
-  // and a corrupt entry is recomputed by the task that found it. Costs drive
-  // LPT placement of the skewed tail. In a sharded run every simulated cell
+  // Owned-slice fan-out: one task per pending cell loads the cell from the
+  // store or simulates it — so disk loads scale with workers and a corrupt
+  // entry is recomputed by the task that found it. Costs drive LPT
+  // placement of the skewed tail. In a sharded run every simulated cell
   // is claimed first so sibling shards' steal scans can tell in-flight work
   // (live claim) from unstarted work (no claim).
   const auto cost_of = [&spec](const Cell& cell) {
@@ -229,11 +226,6 @@ std::vector<CellResult> Campaign::run(const CampaignSpec& spec) {
     const Cell& cell = *pending[i];
     CellResult& out = results[cell.result_index];
     Served& how = served[cell.result_index];
-    if (spec.resume && cache_.contains(cell.key, cell.id)) {
-      out.skipped = true;
-      how = Served::kResumed;
-      return;
-    }
     if (auto loaded = cache_.load(cell.key, cell.id)) {
       out.stats = std::move(*loaded);
       out.from_cache = true;
@@ -285,14 +277,8 @@ std::vector<CellResult> Campaign::run(const CampaignSpec& spec) {
     }
   }
 
-  // Duplicates copy their first occurrence and count as memory hits, except
-  // behind a resumed first occurrence: those are skipped too.
+  // Duplicates copy their first occurrence and count as memory hits.
   for (const auto& [dst, src] : duplicates) {
-    if (served[src] == Served::kResumed) {
-      results[dst].skipped = true;
-      served[dst] = Served::kResumed;
-      continue;
-    }
     results[dst].stats = results[src].stats;
     results[dst].skipped = results[src].skipped;
     results[dst].from_cache = true;
@@ -309,9 +295,6 @@ std::vector<CellResult> Campaign::run(const CampaignSpec& spec) {
         break;
       case Served::kDisk:
         ++telemetry_.store_hits;
-        break;
-      case Served::kResumed:
-        ++telemetry_.skipped;
         break;
       case Served::kSimulated:
         telemetry_.cell_wall_ms.add(results[cell.result_index].wall_ms);
@@ -347,7 +330,6 @@ std::string describe(const CampaignTelemetry& t, int threads) {
   table.add_row({"cells", std::to_string(t.cells)});
   table.add_row({"cache hits", std::to_string(t.cache_hits)});
   if (t.store_hits > 0) table.add_row({"store hits", std::to_string(t.store_hits)});
-  if (t.skipped > 0) table.add_row({"skipped (stored)", std::to_string(t.skipped)});
   table.add_row({"cache hit rate", sim::fmt_pct(t.hit_rate())});
   table.add_row({"wall seconds", sim::fmt(t.wall_seconds, 3)});
   table.add_row({"cells/s", sim::fmt(t.cells_per_second(), 1)});

@@ -77,8 +77,8 @@ class CellCache {
   void store(std::uint64_t key, const CellKey& id, const RunStats& stats)
       MKOS_EXCLUDES(mu_);
   /// True when either tier holds a verified entry for (key, id), without
-  /// rebuilding statistics — the resumable-sweep probe. Does not perturb
-  /// the memory tier's hit/miss counters.
+  /// rebuilding statistics. Does not perturb the memory tier's hit/miss
+  /// counters.
   [[nodiscard]] bool contains(std::uint64_t key, const CellKey& id) MKOS_EXCLUDES(mu_);
   /// Clears the memory tier only; the disk tier persists by design.
   void clear() MKOS_EXCLUDES(mu_);
@@ -168,11 +168,6 @@ struct CampaignSpec {
   int reps = 5;
   std::uint64_t seed = 42;
   int max_nodes = 1 << 30;
-  /// Resumable sweep: cells whose key the cache (memory or disk store)
-  /// already holds are skipped outright — marked CellResult::skipped with
-  /// empty statistics, nothing loaded or simulated. For "what remains"
-  /// passes over a partially-filled store; leave false to get full results.
-  bool resume = false;
   /// Sharded sweep: this process simulates only its keyspace slice, then
   /// steals unclaimed foreign cells when a store is attached. Foreign cells
   /// that were not stolen come back CellResult::skipped.
@@ -187,7 +182,7 @@ struct CellResult {
   RunStats stats;
   bool from_cache = false;
   double wall_ms = 0.0;  ///< host time to simulate (0 for cache hits)
-  bool skipped = false;  ///< resume mode: already stored, stats left empty
+  bool skipped = false;  ///< sharded run: foreign cell, stats left empty
 };
 
 /// Cumulative runner telemetry across Campaign::run calls.
@@ -198,7 +193,6 @@ struct CampaignTelemetry {
   /// so it belongs in the ledger's deterministic counter block.
   std::uint64_t cache_hits = 0;
   std::uint64_t store_hits = 0;  ///< cells served by the disk store (host state)
-  std::uint64_t skipped = 0;     ///< resume mode: cells skipped as already stored
   double wall_seconds = 0.0;     ///< host wall time inside run()
   sim::Histogram cell_wall_ms{1e-3, 1e5, 4};  ///< per simulated cell, host ms
 

@@ -20,6 +20,7 @@
 
 #include "obs/ledger.hpp"
 #include "sim/format.hpp"
+#include "sim/hash.hpp"
 #include "sim/json.hpp"
 
 namespace mkos::core {
@@ -27,13 +28,8 @@ namespace mkos::core {
 namespace {
 
 /// Same FNV-1a 64 the fingerprints use; here over raw payload bytes.
-std::uint64_t fnv1a64(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+std::uint64_t checksum(const std::string& payload) {
+  return sim::fnv1a_bytes(sim::kFnvOffsetBasis, payload);
 }
 
 std::string hex16(std::uint64_t v) {
@@ -129,7 +125,7 @@ bool parse_index_entry(const std::string& blob, const std::string& name,
   const std::size_t eol = blob.find('\n');
   if (eol == std::string::npos) return false;
   const std::string payload = blob.substr(eol + 1);
-  if (blob.compare(0, eol, header_line(payload.size(), fnv1a64(payload))) != 0) {
+  if (blob.compare(0, eol, header_line(payload.size(), checksum(payload))) != 0) {
     return false;
   }
   std::string parse_error;
@@ -281,7 +277,7 @@ CellStore::ReadOutcome CellStore::read_entry(std::uint64_t key, const CellKey& i
   const std::size_t eol = blob.find('\n');
   if (eol == std::string::npos) return corrupt();
   const std::string payload = blob.substr(eol + 1);
-  if (blob.compare(0, eol, header_line(payload.size(), fnv1a64(payload))) != 0) {
+  if (blob.compare(0, eol, header_line(payload.size(), checksum(payload))) != 0) {
     return corrupt();
   }
 
@@ -355,7 +351,7 @@ bool CellStore::save(std::uint64_t key, const CellKey& id, const RunStats& stats
   doc.raw("fom_samples", fom_samples_json(stats.fom));
   doc.raw("ledger", stats.ledger.to_storage_json());
   const std::string payload = doc.to_string();
-  const std::string blob = header_line(payload.size(), fnv1a64(payload)) + "\n" + payload;
+  const std::string blob = header_line(payload.size(), checksum(payload)) + "\n" + payload;
 
   // Atomic publish: write a uniquely named sibling, fsync, rename into
   // place. Concurrent writers of the same key race benignly (identical

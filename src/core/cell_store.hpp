@@ -3,8 +3,9 @@
 //
 // A CellStore is the disk tier behind the campaign CellCache: every finished
 // (app × config × nodes × reps × seed) cell serializes into one file named by
-// its 64-bit cell cache key, so a later process — a re-run bench, a resumed
-// sweep, CI's warm-cache job — loads the cell instead of resimulating it.
+// its 64-bit cell cache key, so a later process — a re-run bench, an
+// interrupted sweep run again, CI's warm-cache job — loads the cell instead
+// of resimulating it.
 // The determinism contract makes this sound: a cell's deterministic sections
 // are a pure function of the key inputs, so a stored cell is bit-equivalent
 // to a recomputed one (tests/test_cell_store.cpp proves the round trip).
@@ -121,8 +122,8 @@ class CellStore {
       MKOS_EXCLUDES(mu_);
 
   /// Full verification of an entry (header, checksum, schema, key) without
-  /// rebuilding its statistics — the resumable-sweep probe. Counts exactly
-  /// like load(): a verified entry is a hit, anything else a miss.
+  /// rebuilding its statistics. Counts exactly like load(): a verified
+  /// entry is a hit, anything else a miss.
   [[nodiscard]] bool contains(std::uint64_t key, const CellKey& id) MKOS_EXCLUDES(mu_);
 
   /// Cheap existence probe: does an entry file for `key` exist at all? No

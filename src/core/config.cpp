@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "hw/knl.hpp"
+#include "sim/hash.hpp"
 
 namespace mkos::core {
 
@@ -32,13 +33,8 @@ std::uint64_t SystemConfig::fingerprint() const {
   // FNV-1a over a canonical field sequence. Every knob participates; adding a
   // field to SystemConfig must extend this list or cells with different
   // behavior would alias in the campaign cache.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (byte * 8)) & 0xffULL;
-      h *= 0x100000001b3ULL;
-    }
-  };
+  std::uint64_t h = sim::kFnvOffsetBasis;
+  const auto mix = [&h](std::uint64_t v) { h = sim::fnv1a_word(h, v); };
   mix(static_cast<std::uint64_t>(os));
   mix(static_cast<std::uint64_t>(mem_mode));
   mix(static_cast<std::uint64_t>(app_cores));

@@ -8,6 +8,7 @@
 #include "obs/snapshots.hpp"
 #include "runtime/resilience.hpp"
 #include "sim/contracts.hpp"
+#include "sim/hash.hpp"
 
 namespace mkos::core {
 
@@ -85,11 +86,7 @@ RunStats collect(const std::vector<RepOutcome>& outcomes) {
 
 std::uint64_t cell_fingerprint(std::string_view app_name, const SystemConfig& config,
                                int nodes, std::uint64_t seed) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : app_name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
+  std::uint64_t h = sim::fnv1a_bytes(sim::kFnvOffsetBasis, app_name);
   h = mix64(h ^ config.fingerprint());
   h = mix64(h ^ static_cast<std::uint64_t>(nodes));
   return mix64(h ^ seed);

@@ -70,7 +70,6 @@ void record_campaign(obs::RunLedger& ledger, const CampaignTelemetry& telemetry,
     ledger.incr("campaign.store.key_mismatches", c.key_mismatches);
     ledger.incr("campaign.store.bytes_read", c.bytes_read);
     ledger.incr("campaign.store.bytes_written", c.bytes_written);
-    ledger.incr("campaign.store.skipped", telemetry.skipped);
   }
   // Steal and claim traffic depends on thread timing and on what sibling
   // shards did: host block only, like wall time and throughput, which vary

@@ -4,19 +4,14 @@
 #include <bit>
 
 #include "sim/contracts.hpp"
+#include "sim/hash.hpp"
 
 namespace mkos::fault {
 
 namespace {
 
-/// FNV-1a over a 64-bit word, byte by byte (matches the SystemConfig style).
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (v >> (byte * 8)) & 0xffULL;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+/// FNV-1a over a 64-bit word, byte by byte (the SystemConfig mixer).
+std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) { return sim::fnv1a_word(h, v); }
 
 std::uint64_t fnv_mix(std::uint64_t h, double v) {
   return fnv_mix(h, std::bit_cast<std::uint64_t>(v));

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/contracts.hpp"
+#include "sim/hash.hpp"
 
 namespace mkos::mem {
 
@@ -70,13 +71,6 @@ FaultBill fault_in(PhysMemory& phys, const MemCostModel& cost,
   return bill;
 }
 
-/// Order-sensitive 64-bit hash combiner for state fingerprints.
-std::uint64_t fp_mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  h *= 0xbf58476d1ce4e5b9ULL;
-  return h ^ (h >> 31);
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------- LinuxHeap
@@ -131,12 +125,12 @@ sim::TimeNs LinuxHeap::do_touch_new(int concurrent_faulters) {
 // legitimately differ between lanes the fast path treats as identical.
 std::uint64_t LinuxHeap::compute_fingerprint() const {
   std::uint64_t h = 0x243f6a8885a308d3ULL;  // class tag
-  h = fp_mix(h, stats_.current);
-  h = fp_mix(h, stats_.max_break);
-  h = fp_mix(h, static_cast<std::uint64_t>(policy_.mode));
-  for (const auto d : policy_.domains) h = fp_mix(h, static_cast<std::uint64_t>(d));
-  h = fp_mix(h, extents_.size());
-  return fp_mix(h, placement_.total());
+  h = sim::hash_combine(h, stats_.current);
+  h = sim::hash_combine(h, stats_.max_break);
+  h = sim::hash_combine(h, static_cast<std::uint64_t>(policy_.mode));
+  for (const auto d : policy_.domains) h = sim::hash_combine(h, static_cast<std::uint64_t>(d));
+  h = sim::hash_combine(h, extents_.size());
+  return sim::hash_combine(h, placement_.total());
 }
 
 // ------------------------------------------------------------------ LwkHeap
@@ -237,12 +231,12 @@ sim::TimeNs LwkHeap::do_touch_new(int concurrent_faulters) {
 
 std::uint64_t LwkHeap::compute_fingerprint() const {
   std::uint64_t h = 0x13198a2e03707344ULL;  // class tag
-  h = fp_mix(h, stats_.current);
-  h = fp_mix(h, stats_.max_break);
-  h = fp_mix(h, backed_);
-  h = fp_mix(h, untouched_);
-  h = fp_mix(h, extents_.size());
-  return fp_mix(h, placement_.total());
+  h = sim::hash_combine(h, stats_.current);
+  h = sim::hash_combine(h, stats_.max_break);
+  h = sim::hash_combine(h, backed_);
+  h = sim::hash_combine(h, untouched_);
+  h = sim::hash_combine(h, extents_.size());
+  return sim::hash_combine(h, placement_.total());
 }
 
 }  // namespace mkos::mem

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/contracts.hpp"
+#include "sim/hash.hpp"
 
 namespace mkos::mem {
 
@@ -19,18 +20,13 @@ sim::Bytes DomainAllocator::largest_free_extent() const {
 }
 
 std::uint64_t DomainAllocator::compute_fingerprint() const {
-  auto mix = [](std::uint64_t h, std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    h *= 0xbf58476d1ce4e5b9ULL;
-    return h ^ (h >> 31);
-  };
-  std::uint64_t h = mix(0x452821e638d01377ULL, free_bytes_);
-  h = mix(h, free_.size());
+  std::uint64_t h = sim::hash_combine(0x452821e638d01377ULL, free_bytes_);
+  h = sim::hash_combine(h, free_.size());
   if (!free_.empty()) {
-    h = mix(h, free_.front().start);
-    h = mix(h, free_.front().length);
-    h = mix(h, free_.back().start);
-    h = mix(h, free_.back().length);
+    h = sim::hash_combine(h, free_.front().start);
+    h = sim::hash_combine(h, free_.front().length);
+    h = sim::hash_combine(h, free_.back().start);
+    h = sim::hash_combine(h, free_.back().length);
   }
   return h;
 }

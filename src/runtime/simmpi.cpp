@@ -7,16 +7,11 @@
 #include "runtime/resilience.hpp"
 #include "runtime/shm.hpp"
 #include "sim/contracts.hpp"
+#include "sim/hash.hpp"
 
 namespace mkos::runtime {
 
 namespace {
-
-std::uint64_t phys_mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  h *= 0xbf58476d1ce4e5b9ULL;
-  return h ^ (h >> 31);
-}
 
 /// Fingerprint of the shared physical-memory state the heap cost model can
 /// observe: per-domain free volume and free-map shape (each domain's own
@@ -26,7 +21,7 @@ std::uint64_t phys_mix(std::uint64_t h, std::uint64_t v) {
 std::uint64_t phys_fingerprint(const mem::PhysMemory& phys) {
   std::uint64_t h = 0x082efa98ec4e6c89ULL;
   for (int d = 0; d < phys.domain_count(); ++d) {
-    h = phys_mix(h, phys.domain(static_cast<hw::DomainId>(d)).state_fingerprint());
+    h = sim::hash_combine(h, phys.domain(static_cast<hw::DomainId>(d)).state_fingerprint());
   }
   return h;
 }
@@ -218,12 +213,16 @@ void MpiWorld::heap_cycle(std::span<const std::int64_t> deltas) {
   // the effective concurrency in the fault handler is a fraction of the
   // rank count.
   const int faulters = 1 + lanes / 8;
+  // Every fast path below replays lanes without calling the allocator. An
+  // armed fault hook may draw randomness on every allocation a replayed
+  // lane would skip, so hooked nodes simulate every lane.
+  const bool replay = fast_paths_ && !phys_hooked(k.phys());
 
   // Symmetric-lane detection: in the common SPMD steady state every lane's
   // heap is in the same (cost-relevant) state, so one representative cycle
   // prices all of them. The per-lane fingerprints are revision-cached, so
   // this scan is a contiguous compare in the steady state.
-  bool symmetric = fast_paths_ && lanes > 1;
+  bool symmetric = replay && lanes > 1;
   std::uint64_t fp0 = 0;
   if (symmetric) {
     fp0 = lanes_.heaps[0]->state_fingerprint();
@@ -311,12 +310,9 @@ void MpiWorld::heap_cycle(std::span<const std::int64_t> deltas) {
   // because fault and zeroing costs round per extent, and lanes homed on
   // different quadrants draw different extents. The phys fingerprint is
   // re-read after every simulated lane, so an entry never serves a lane
-  // that starts from an allocator state it was not recorded from. An armed
-  // fault hook may draw randomness on every allocation a replayed lane
-  // would skip, so hooked nodes simulate every lane.
+  // that starts from an allocator state it was not recorded from.
   lane_pending_dirty_ = true;
   engine_.heap_slow_lanes += static_cast<std::uint64_t>(lanes - first);
-  const bool replay = fast_paths_ && !phys_hooked(k.phys());
   std::uint64_t phys_fp = replay ? phys_fingerprint(k.phys()) : 0;
   for (int i = first; i < lanes; ++i) {
     mem::HeapEngine& heap = *lanes_.heaps[static_cast<std::size_t>(i)];

@@ -3,9 +3,11 @@
 //
 // std::atoi silently maps garbage to 0, so `MKOS_THREADS=all` used to mean
 // "zero threads" and fall back to a default — a misconfiguration the user
-// never hears about. Every env knob goes through env_int(): unset keeps the
-// fallback, anything else must parse as a strict base-10 integer inside the
-// caller's range or the process stops with an error naming the variable.
+// never hears about. Integer env knobs parse through parse_int():
+// MKOS_THREADS via env_int() below, MKOS_SHARD via core::ShardSpec. Unset
+// keeps the fallback; anything else must parse as a strict base-10 integer
+// inside the caller's range or the process stops with an error naming the
+// variable.
 //
 // Header-only on purpose: in MKOS_CONTRACTS_THROW test builds the failure
 // path throws ContractViolation from the test's own translation unit, so

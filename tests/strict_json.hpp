@@ -2,7 +2,9 @@
 // Minimal strict RFC 8259 JSON parser for tests: validates a document and
 // decodes string literals, rejecting everything the grammar rejects (bare
 // nan/inf, trailing commas, unescaped control characters, trailing junk).
-// Test-only — production code never parses JSON, it only emits it.
+// Test-only: an oracle written apart from sim/json, the production parser
+// that reads cell-store entries, so the tests check the emitters' output
+// against a second reading of the grammar.
 
 #include <cctype>
 #include <cstdlib>

@@ -1,7 +1,7 @@
 // Unit tests for the persistent cell store (core/cell_store.*): exact
 // round-trip fidelity, corruption detection (truncation, bad checksum,
 // wrong schema version, zero-length entries, seeded mutations), quarantine
-// semantics, hash collisions on disk, and the resumable-sweep mode.
+// semantics, hash collisions on disk, and reruns over a partly filled store.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -358,10 +358,10 @@ TEST(CellStore, OnDiskKeyMismatchIsAMissNotQuarantine) {
   EXPECT_TRUE(store.load(kKey, make_key()).has_value());
 }
 
-// ------------------------------------------------------------------ resume
+// ------------------------------------------------------------------ rerun
 
-TEST(CellStore, ResumeSkipsStoredCellsWithoutLoadingThem) {
-  const StoreDir tmp("resume");
+TEST(CellStore, RerunOverAPartlyFilledStoreSimulatesOnlyTheMissingCells) {
+  const StoreDir tmp("rerun");
   CampaignSpec spec;
   spec.apps = {"MiniFE"};
   // The Linux column twice: its duplicate follows the first occurrence.
@@ -378,32 +378,45 @@ TEST(CellStore, ResumeSkipsStoredCellsWithoutLoadingThem) {
   // Store only the Linux cell.
   CampaignSpec linux_only = spec;
   linux_only.configs = {SystemConfig::linux_default()};
-  (void)seeder.run(linux_only);
+  const auto seeded = seeder.run(linux_only);
+  ASSERT_EQ(seeded.size(), 1u);
 
+  // A plain rerun of the whole grid in a fresh process: the stored cell
+  // loads from disk, its duplicate copies it, and only McKernel simulates.
   CellStore store(tmp.path());
   CellCache cache(&store);
   Campaign campaign(pool, cache);
-  CampaignSpec resume = spec;
-  resume.resume = true;
-  const auto cells = campaign.run(resume);
+  const auto cells = campaign.run(spec);
   ASSERT_EQ(cells.size(), 3u);
   for (const std::size_t linux_cell : {0u, 1u}) {
-    EXPECT_TRUE(cells[linux_cell].skipped);              // already stored
-    EXPECT_FALSE(cells[linux_cell].from_cache);          // skipped, not served
-    EXPECT_EQ(cells[linux_cell].stats.fom.count(), 0u);  // nothing loaded
+    EXPECT_FALSE(cells[linux_cell].skipped);
+    EXPECT_TRUE(cells[linux_cell].from_cache);
+    EXPECT_EQ(cells[linux_cell].stats.unit, seeded[0].stats.unit);
+    EXPECT_EQ(cells[linux_cell].stats.fom.samples(), seeded[0].stats.fom.samples());
+    EXPECT_EQ(cells[linux_cell].stats.ledger.to_json(), seeded[0].stats.ledger.to_json());
   }
-  EXPECT_FALSE(cells[2].skipped);  // McKernel: simulated now
+  EXPECT_FALSE(cells[2].skipped);
+  EXPECT_FALSE(cells[2].from_cache);
   EXPECT_GT(cells[2].stats.fom.count(), 0u);
-  EXPECT_EQ(campaign.telemetry().skipped, 2u);
-  EXPECT_EQ(campaign.telemetry().cache_hits, 0u);
-  // The duplicate is resolved from its first occurrence, not probed again.
   EXPECT_EQ(store.counters().hits, 1u);
+  EXPECT_EQ(store.counters().misses, 1u);
+  EXPECT_EQ(store.counters().writes, 1u);
+  EXPECT_EQ(campaign.telemetry().store_hits, 1u);
+  EXPECT_EQ(campaign.telemetry().cache_hits, 1u);
 
-  // A second resume pass over the now-complete store skips everything.
-  const auto again = campaign.run(resume);
-  for (const CellResult& cell : again) EXPECT_TRUE(cell.skipped);
-  EXPECT_EQ(campaign.telemetry().skipped, 5u);
-  EXPECT_EQ(campaign.telemetry().cache_hits, 0u);
+  // A second rerun over the now-complete store writes nothing.
+  CellStore complete(tmp.path());
+  CellCache complete_cache(&complete);
+  Campaign again(pool, complete_cache);
+  const auto reloaded = again.run(spec);
+  ASSERT_EQ(reloaded.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_TRUE(reloaded[i].from_cache);
+    EXPECT_EQ(reloaded[i].stats.ledger.to_json(), cells[i].stats.ledger.to_json());
+  }
+  EXPECT_EQ(complete.counters().hits, 2u);
+  EXPECT_EQ(complete.counters().misses, 0u);
+  EXPECT_EQ(complete.counters().writes, 0u);
 }
 
 // ------------------------------------------------------------------ claims

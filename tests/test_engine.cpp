@@ -8,11 +8,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "core/campaign.hpp"
 #include "core/config.hpp"
 #include "core/obs_glue.hpp"
 #include "kernel/noise.hpp"
+#include "runtime/resilience.hpp"
 #include "runtime/simmpi.hpp"
 #include "sim/work_stealing_pool.hpp"
 #include "workloads/app.hpp"
@@ -424,14 +426,23 @@ TEST(FastPaths, AsymmetricLanesBitIdenticalToSlowPaths) {
 }
 
 /// One repetition of a real app: setup, then run, as core::run_app does.
+/// With `faults`, a ResilienceManager installs its memory hooks before
+/// setup and attaches to the world, as core::run_once does.
 WorldOutcome app_outcome(std::string_view app_name, kernel::OsKind os, int nodes,
-                         bool fast_paths) {
+                         bool fast_paths,
+                         const std::optional<fault::Spec>& faults = std::nullopt) {
   const std::unique_ptr<workloads::App> app = workloads::make_app(app_name);
   const Machine m = SystemConfig::for_os(os).machine(nodes);
   Job job{m, app->spec(nodes), 17};
+  std::optional<ResilienceManager> resilience;
+  if (faults) {
+    resilience.emplace(*faults, job, 57);
+    resilience->install_memory_faults();
+  }
   app->setup(job);
   MpiWorld world{job, 4321};
   world.set_fast_paths(fast_paths);
+  if (resilience) world.attach_resilience(&*resilience);
   const sim::TimeNs clock = app->run(job, world).elapsed;
   return outcome_of(job, world, clock);
 }
@@ -454,6 +465,18 @@ TEST(FastPaths, DivergentAppsBitIdenticalToSlowPaths) {
       }
     }
   }
+}
+
+TEST(FastPaths, ArmedMcdramHookBitIdenticalToSlowPaths) {
+  // An armed MCDRAM-denial hook draws one random number per allocation, so
+  // a lane replayed by the whole-cycle memo or the symmetric path would
+  // skip draws the slow path makes. Hooked nodes simulate every lane.
+  fault::Spec faults;
+  faults.mcdram_fail_fraction = 0.5;
+  const WorldOutcome fast = app_outcome("AMG2013", kernel::OsKind::kLinux, 1, true, faults);
+  const WorldOutcome slow = app_outcome("AMG2013", kernel::OsKind::kLinux, 1, false, faults);
+  expect_same_outputs(fast, slow);
+  EXPECT_EQ(fast.engine.heap_fast_lanes, 0u);
 }
 
 TEST(FastPaths, FreshWorldBandwidthSentinelNeverLeaks) {
