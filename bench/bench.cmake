@@ -29,7 +29,6 @@ mkos_add_bench(design_space)
 mkos_add_bench(phase_breakdown)
 mkos_add_bench(syscall_matrix)
 mkos_add_bench(hotpath_sampling)
-mkos_add_bench(event_queue)
 mkos_add_bench(sweep_sched)
 mkos_add_bench(resilience)
 mkos_add_bench(fig_numa_lookup)

@@ -31,7 +31,6 @@ std::string_view to_string(FaultKind k) {
     case FaultKind::kIkcDrop: return "ikc_drop";
     case FaultKind::kIkcDelay: return "ikc_delay";
     case FaultKind::kLinuxCrash: return "linux_crash";
-    case FaultKind::kMcdramFault: return "mcdram_fault";
     case FaultKind::kCount_: break;
   }
   return "unknown";
@@ -99,7 +98,6 @@ Plan Plan::generate(const Spec& spec, int nodes, std::uint64_t seed) {
   Plan plan;
   plan.spec_ = spec;
   plan.nodes_ = nodes;
-  plan.seed_ = seed;
   const sim::Rng root(seed ^ (spec.plan_salt * 0x9e3779b97f4a7c15ULL));
   const auto add_process = [&](FaultKind kind, double rate_hz) {
     if (rate_hz <= 0.0) return;
@@ -129,11 +127,6 @@ Plan Plan::scripted(const Spec& spec) {
 
 Plan& Plan::add(const FaultEvent& e) {
   pending_.push_back(Scheduled{e, next_seq_++});
-  fixed_hash_ = fnv_mix(fixed_hash_, e.at);
-  fixed_hash_ = fnv_mix(fixed_hash_, static_cast<std::uint64_t>(e.kind));
-  fixed_hash_ = fnv_mix(fixed_hash_, static_cast<std::uint64_t>(e.node));
-  fixed_hash_ = fnv_mix(fixed_hash_, e.magnitude);
-  fixed_hash_ = fnv_mix(fixed_hash_, e.duration);
   return *this;
 }
 
@@ -161,7 +154,6 @@ FaultEvent Plan::materialize(Process& p, sim::TimeNs at) {
       e.duration = spec_.linux_reboot_stall;
       break;
     case FaultKind::kNodeFailStop:
-    case FaultKind::kMcdramFault:
     case FaultKind::kCount_:
       break;
   }
@@ -196,14 +188,6 @@ std::vector<FaultEvent> Plan::take_until(sim::TimeNs until) {
   pending_.erase(pending_.begin(),
                  pending_.begin() + static_cast<std::ptrdiff_t>(taken));
   return out;
-}
-
-std::uint64_t Plan::fingerprint() const {
-  std::uint64_t h = spec_.fingerprint();
-  h = fnv_mix(h, static_cast<std::uint64_t>(nodes_));
-  h = fnv_mix(h, seed_);
-  h = fnv_mix(h, static_cast<std::uint64_t>(processes_.size()));
-  return fnv_mix(h, fixed_hash_);
 }
 
 }  // namespace mkos::fault

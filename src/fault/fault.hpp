@@ -40,7 +40,6 @@ enum class FaultKind : std::uint8_t {
   kIkcDrop,       ///< `magnitude` IKC request messages are lost
   kIkcDelay,      ///< the IKC channel stalls for `duration`
   kLinuxCrash,    ///< Linux-side kernel crash; an LWK partition survives
-  kMcdramFault,   ///< MCDRAM denial probability rises to `magnitude`
   kCount_,
 };
 
@@ -48,7 +47,7 @@ enum class FaultKind : std::uint8_t {
 
 /// One scheduled disturbance. `at` is a progress timestamp (see the header
 /// comment); magnitude and duration are kind-specific (slowdown factor,
-/// dropped-message count, denial probability / burst length, reboot stall).
+/// dropped-message count, burst length, reboot stall).
 struct FaultEvent {
   sim::TimeNs at{0};
   FaultKind kind = FaultKind::kNodeFailStop;
@@ -149,12 +148,10 @@ class Plan {
 
   /// Pop every event with `at` strictly before `until`, extending the
   /// generated horizon on demand. Successive calls must use non-decreasing
-  /// horizons (the injector advances monotonically). Events come back
-  /// sorted by (at, generation order).
+  /// horizons (runtime::ResilienceManager passes the end of each progress
+  /// window). Events come back sorted by (at, insertion order), the order
+  /// the recovery layer applies them in.
   [[nodiscard]] std::vector<FaultEvent> take_until(sim::TimeNs until);
-
-  /// Deterministic content hash of the spec, shape, and fixed events.
-  [[nodiscard]] std::uint64_t fingerprint() const;
 
  private:
   /// One Poisson arrival stream (a fault kind with a positive rate).
@@ -174,9 +171,7 @@ class Plan {
 
   Spec spec_;
   int nodes_ = 1;
-  std::uint64_t seed_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t fixed_hash_ = 0;
   std::vector<Process> processes_;
   std::vector<Scheduled> pending_;
   sim::TimeNs horizon_{0};

@@ -47,7 +47,7 @@ ResilienceManager::ResilienceManager(const fault::Spec& spec, Job& job,
 ResilienceManager::ResilienceManager(fault::Plan plan, Job& job, std::uint64_t seed)
     : spec_(plan.spec()),
       job_(job),
-      injector_(std::move(plan)),
+      plan_(std::move(plan)),
       rng_(sim::Rng(seed).fork(1)),
       mem_rng_(sim::Rng(seed).fork(2)) {
   storm_base_fraction_ = kernel::noise_daemon_storm().expected_fraction();
@@ -60,16 +60,13 @@ ResilienceManager::~ResilienceManager() {
 }
 
 void ResilienceManager::install_memory_faults() {
-  mcdram_deny_p_ = std::max(mcdram_deny_p_, spec_.mcdram_fail_fraction);
+  if (spec_.mcdram_fail_fraction <= 0.0) return;
   const auto& topo = job_.node().topo();
   auto& phys = job_.node().phys();
   for (int id = 0; id < phys.domain_count(); ++id) {
     if (topo.domain(id).kind != hw::MemKind::kMcdram) continue;
     phys.domain(id).set_fault_hook([this](sim::Bytes) {
-      // Zero probability must not consume randomness: a zero-fault run's
-      // allocator behavior stays bit-identical to a hook-free build.
-      if (mcdram_deny_p_ <= 0.0) return false;
-      if (mem_rng_.next_double() >= mcdram_deny_p_) return false;
+      if (mem_rng_.next_double() >= spec_.mcdram_fail_fraction) return false;
       ++counters_.injected;
       ++counters_.detected;
       ++counters_.mcdram_denied;
@@ -104,10 +101,10 @@ sim::TimeNs ResilienceManager::on_sync(sim::TimeNs span) {
     }
   }
 
-  // Activate scheduled faults up to w1. Events open windows (stragglers,
+  // Apply the faults scheduled before w1. Events open windows (stragglers,
   // storms) before the overlap charge below, so a disturbance starting
   // inside this span is already felt by it.
-  for (const fault::FaultEvent& e : injector_.advance(w1)) {
+  for (const fault::FaultEvent& e : plan_.take_until(w1)) {
     ++counters_.injected;
     extra += apply_event(e);
   }
@@ -234,13 +231,6 @@ sim::TimeNs ResilienceManager::apply_event(const fault::FaultEvent& e) {
       ++counters_.detected;
       ++counters_.ikc_delays;
       return e.duration;  // the channel stalls; offloads queue behind it
-    }
-
-    case fault::FaultKind::kMcdramFault: {
-      // Raises the denial probability; cost materializes at allocation time
-      // through the installed hook.
-      mcdram_deny_p_ = std::max(mcdram_deny_p_, e.magnitude);
-      return sim::TimeNs{0};
     }
 
     case fault::FaultKind::kCount_:

@@ -1,12 +1,13 @@
 #pragma once
 // Recovery policies over an injected fault plan.
 //
-// The ResilienceManager sits between the fault injector (a deterministic
+// The ResilienceManager sits between a fault::Plan (a deterministic
 // schedule of disturbances in progress time, see fault/fault.hpp) and the
 // bulk-synchronous executor. MpiWorld calls on_sync() at every
-// synchronization with the work span that just closed; the manager advances
-// the fault timeline across that span, applies the recovery policy to
-// whatever fired, and returns the extra time the run must absorb. Because
+// synchronization with the work span that just closed; the manager owns the
+// plan, takes the events that fall inside that span with
+// Plan::take_until, applies the recovery policy to them in (time, insertion)
+// order, and returns the extra time the run must absorb. Because
 // the charge lands inside synchronize(), fault time flows through the same
 // clock as compute, noise and communication — every downstream statistic
 // (FOM, breakdowns, campaign aggregation) sees it without special cases.
@@ -37,13 +38,13 @@
 // Determinism: all randomness comes from two forked streams of the ctor
 // seed (recovery coin flips, MCDRAM denial draws), consumed in a fixed
 // order driven by the deterministic event schedule. A disabled spec
-// constructs an empty plan, draws nothing, and charges nothing.
+// constructs an empty plan, installs no hooks, draws nothing, and charges
+// nothing.
 
 #include <cstdint>
 #include <vector>
 
 #include "fault/fault.hpp"
-#include "fault/injector.hpp"
 #include "runtime/job.hpp"
 #include "sim/rng.hpp"
 #include "sim/thread_safety.hpp"
@@ -66,8 +67,9 @@ class MKOS_THREAD_CONFINED("the owning cell's MpiWorld") ResilienceManager {
 
   /// Install MCDRAM denial hooks on the representative node's MCDRAM
   /// domains. Call before the application's setup phase so placement-time
-  /// allocations are exposed too. No-op when mcdram_fail_fraction is 0 and
-  /// the plan carries no kMcdramFault events.
+  /// allocations are exposed too. No-op when mcdram_fail_fraction is 0: an
+  /// armed hook turns off the world's heap fast paths, so one that can
+  /// never deny must not be installed.
   void install_memory_faults();
 
   /// Close the progress window `span` (the work the world just synchronized
@@ -76,8 +78,6 @@ class MKOS_THREAD_CONFINED("the owning cell's MpiWorld") ResilienceManager {
   [[nodiscard]] sim::TimeNs on_sync(sim::TimeNs span);
 
   [[nodiscard]] const fault::Counters& counters() const { return counters_; }
-  [[nodiscard]] const fault::Spec& spec() const { return spec_; }
-  [[nodiscard]] sim::TimeNs progress() const { return progress_; }
 
   /// Fraction of a storm that reaches application cores on `os` (the
   /// partitioning story, quantified). Exposed for tests and the bench.
@@ -102,12 +102,11 @@ class MKOS_THREAD_CONFINED("the owning cell's MpiWorld") ResilienceManager {
 
   fault::Spec spec_;
   Job& job_;
-  fault::Injector injector_;
+  fault::Plan plan_;
   sim::Rng rng_;      ///< recovery decisions (retry coin flips)
   sim::Rng mem_rng_;  ///< MCDRAM denial draws
   fault::Counters counters_;
   sim::TimeNs progress_{0};
-  double mcdram_deny_p_ = 0.0;
   std::vector<ActiveWindow> windows_;
   std::vector<int> hooked_domains_;
   double storm_base_fraction_ = 0.0;  ///< expected steal of a fully exposed core

@@ -21,7 +21,7 @@
 //
 //  * `MKOS_THREAD_CONFINED("<owner>")` on structures that are *not* locked
 //    because exactly one task may touch them (per-cell simulator state:
-//    RunLedger, EventQueue, MpiWorld, ResilienceManager, ...).
+//    RunLedger, MpiWorld, ResilienceManager, ...).
 //    It expands to nothing on every compiler; it exists so "no mutex here"
 //    reads as a stated ownership contract instead of an omission, and so
 //    reviewers of future concurrency PRs (ROADMAP 5b) know which structures

@@ -479,6 +479,17 @@ TEST(FastPaths, ArmedMcdramHookBitIdenticalToSlowPaths) {
   EXPECT_EQ(fast.engine.heap_fast_lanes, 0u);
 }
 
+TEST(FastPaths, FaultSpecWithoutMcdramDenialKeepsHeapFastPaths) {
+  // Resilience is on, but mcdram_fail_fraction is 0: no hook can deny, so
+  // none may be installed, and the divergent cycles still replay per class.
+  fault::Spec faults;
+  faults.node_fail_rate_hz = 0.002;
+  const WorldOutcome fast = app_outcome("Lulesh2.0", kernel::OsKind::kLinux, 1, true, faults);
+  const WorldOutcome slow = app_outcome("Lulesh2.0", kernel::OsKind::kLinux, 1, false, faults);
+  expect_same_outputs(fast, slow);
+  EXPECT_GT(fast.engine.heap_class_replays, 0u);
+}
+
 TEST(FastPaths, FreshWorldBandwidthSentinelNeverLeaks) {
   // Job guarantees >= 1 lane, so refresh_lanes' zero-lane branch is a
   // defensive default; what IS reachable is a fresh world with nothing

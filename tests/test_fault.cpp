@@ -1,5 +1,5 @@
 // Unit tests: the fault-injection subsystem — plan determinism and ordering,
-// the injector, recovery-policy math, kernel-specific crash survival, the
+// recovery-policy math, kernel-specific crash survival, the
 // checkpoint-interval trade-off, MCDRAM denial spill, and the byte-identity
 // guarantee zero plan == no subsystem. Worker-count identity under faults
 // is covered by Campaign.WorkStealingChangesNoLedgerByte.
@@ -12,7 +12,6 @@
 #include "core/config.hpp"
 #include "core/experiment.hpp"
 #include "fault/fault.hpp"
-#include "fault/injector.hpp"
 #include "mem/address_space.hpp"
 #include "runtime/resilience.hpp"
 #include "runtime/simmpi.hpp"
@@ -108,40 +107,14 @@ TEST(FaultPlan, EmptySpecYieldsEmptyPlan) {
   EXPECT_TRUE(plan.take_until(sim::seconds(1000)).empty());
 }
 
-TEST(FaultPlan, FingerprintSeparatesInputs) {
-  const auto fp = [](int nodes, std::uint64_t seed) {
-    return Plan::generate(rate_spec(), nodes, seed).fingerprint();
-  };
-  EXPECT_NE(fp(16, 7), fp(16, 8));
-  EXPECT_NE(fp(16, 7), fp(32, 7));
-  EXPECT_EQ(fp(16, 7), fp(16, 7));
-}
-
-// ------------------------------------------------------------- Injector
-
-TEST(FaultInjector, FiresScheduledEventsOnce) {
+TEST(FaultPlan, TakeUntilFiresEachEventOnce) {
   Plan plan;
   plan.add({TimeNs{10}, FaultKind::kStraggler, 0, 0, TimeNs{0}})
       .add({TimeNs{30}, FaultKind::kDaemonStorm, 0, 0, TimeNs{0}});
-  fault::Injector inj{std::move(plan)};
-  EXPECT_EQ(inj.advance(TimeNs{20}).size(), 1u);
-  EXPECT_EQ(inj.advance(TimeNs{25}).size(), 0u);
-  EXPECT_EQ(inj.advance(TimeNs{40}).size(), 1u);
-  EXPECT_EQ(inj.activated(), 2u);
-}
-
-TEST(FaultInjector, ClampsEventsAddedInThePast) {
-  // An event timestamped before the injector's clock (advance already moved
-  // past it) must still fire, at the current clock, not violate the queue's
-  // schedule_at precondition.
-  fault::Spec spec;
-  spec.straggler_rate_hz = 50.0;
-  fault::Injector inj{Plan::generate(spec, 64, 3)};
-  (void)inj.advance(sim::milliseconds(100));
-  const auto& late = inj.advance(sim::seconds(10));
-  for (std::size_t i = 1; i < late.size(); ++i) {
-    EXPECT_GE(late[i].at, late[i - 1].at);  // order preserved after clamping
-  }
+  EXPECT_EQ(plan.take_until(TimeNs{20}).size(), 1u);
+  EXPECT_EQ(plan.take_until(TimeNs{25}).size(), 0u);
+  EXPECT_EQ(plan.take_until(TimeNs{40}).size(), 1u);
+  EXPECT_TRUE(plan.take_until(TimeNs{1000}).empty());
 }
 
 // ---------------------------------------------------- config fingerprints

@@ -101,7 +101,7 @@ TEST(LintRules, WallClockFlaggedOutsideAllowlist) {
 TEST(LintRules, SimulatedClockMembersAreFine) {
   EXPECT_TRUE(lint_file("src/kernel/ikc.cpp", "auto t = events_.now();\n").empty());
   EXPECT_TRUE(
-      lint_file("src/sim/event_queue.hpp",
+      lint_file("src/sim/time.hpp",
                 "#pragma once\nnamespace mkos::sim {\n"
                 "struct Q { int now() const { return now_; } int now_ = 0; };\n"
                 "}\n")
@@ -145,7 +145,7 @@ TEST(LintRules, NakedNewFlaggedOutsideSim) {
       lint_file("src/kernel/process.cpp", "int* p = new int(3); delete p;\n");
   EXPECT_EQ(vs.size(), 2u);
   EXPECT_TRUE(has_rule(vs, "naked-new"));
-  EXPECT_TRUE(lint_file("src/sim/event_queue.cpp", "int* p = new int(3);\n").empty());
+  EXPECT_TRUE(lint_file("src/sim/work_stealing_pool.cpp", "int* p = new int(3);\n").empty());
 }
 
 TEST(LintRules, DeletedFunctionsAreFine) {
