@@ -6,7 +6,7 @@
 
 #include "core/experiment.hpp"
 #include "core/obs_glue.hpp"
-#include "runtime/simmpi.hpp"
+#include "runtime/noise_extremes.hpp"
 #include "sim/format.hpp"
 
 namespace {
@@ -15,10 +15,6 @@ using namespace mkos;
 
 // Iteration time of a MiniFE-shaped loop under an arbitrary noise model.
 double loop_time_us(const kernel::NoiseModel& noise, int nodes) {
-  const auto machine = core::SystemConfig::mckernel().machine(nodes);
-  runtime::Job job{machine, runtime::JobSpec{nodes, 64, 4}, 1};
-  runtime::MpiWorld world{job, 77};
-  // Swap the extremes source by simulating directly with NoiseExtremes.
   const runtime::NoiseExtremes ex{noise};
   sim::Rng rng{99};
   const sim::TimeNs window = sim::microseconds(200);

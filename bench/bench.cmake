@@ -1,5 +1,5 @@
-# Bench binaries: one per paper table/figure plus the engine and
-# scheduler acceptance benches.
+# Bench binaries: one per paper table/figure plus the scheduler
+# acceptance bench.
 # Declared with include() from the top-level CMakeLists so that
 # ${CMAKE_BINARY_DIR}/bench contains ONLY executables — the harness runs
 # `for b in build/bench/*; do $b; done`.
@@ -28,7 +28,6 @@ mkos_add_bench(isolation)
 mkos_add_bench(design_space)
 mkos_add_bench(phase_breakdown)
 mkos_add_bench(syscall_matrix)
-mkos_add_bench(hotpath_sampling)
 mkos_add_bench(sweep_sched)
 mkos_add_bench(resilience)
 mkos_add_bench(fig_numa_lookup)

@@ -2,8 +2,6 @@
 
 #include <fcntl.h>
 #include <signal.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -104,12 +102,10 @@ bool parse_key_block(const sim::JsonValue& doc, CellKey* out) {
   return true;
 }
 
-/// Verify one scanned blob (filename `<hex16>.cell`) and extract its index
-/// entry. Mirrors read_entry's header/schema/key checks, minus quarantine
-/// and ledger reconstruction — the index needs identity and FoM only.
-bool parse_index_entry(const std::string& blob, const std::string& name,
-                       CellIndexEntry* out) {
-  if (name.size() != 16 + 5) return false;  // "<16 hex>.cell"
+/// The key a `<16 lowercase hex>.cell` entry filename encodes; nullopt for
+/// any other name.
+std::optional<std::uint64_t> parse_entry_name(const std::string& name) {
+  if (name.size() != 16 + 5) return std::nullopt;  // "<16 hex>.cell"
   std::uint64_t key = 0;
   for (int i = 0; i < 16; ++i) {
     const char c = name[static_cast<std::size_t>(i)];
@@ -119,43 +115,67 @@ bool parse_index_entry(const std::string& blob, const std::string& name,
     } else if (c >= 'a' && c <= 'f') {
       key |= static_cast<std::uint64_t>(c - 'a' + 10);
     } else {
-      return false;
+      return std::nullopt;
     }
   }
+  return key;
+}
+
+/// The one verifier of an entry stored under `key`: header line, checksum,
+/// schema id, format and ledger schema versions, fingerprint and key block.
+/// Returns the parsed payload with the stored identity in `*stored`, or
+/// nullopt when the entry is corrupt. Whether the identity is the one the
+/// caller asked for is the caller's check (a mismatch is a collision, not
+/// corruption).
+std::optional<sim::JsonValue> verify_entry(const std::string& blob, std::uint64_t key,
+                                           CellKey* stored) {
+  // Header: everything before the first newline must equal the line we
+  // would write for the observed payload (zero-length and truncated files
+  // fail here; so do bad checksums and foreign format versions).
   const std::size_t eol = blob.find('\n');
-  if (eol == std::string::npos) return false;
+  if (eol == std::string::npos) return std::nullopt;
   const std::string payload = blob.substr(eol + 1);
   if (blob.compare(0, eol, header_line(payload.size(), checksum(payload))) != 0) {
-    return false;
+    return std::nullopt;
   }
-  std::string parse_error;
-  const auto doc = sim::json_parse(payload, &parse_error);
-  if (!doc || !doc->is_object()) return false;
+
+  auto doc = sim::json_parse(payload);
+  if (!doc || !doc->is_object()) return std::nullopt;
+
   const sim::JsonValue* schema = doc->find("schema");
   const sim::JsonValue* schema_version = doc->find("schema_version");
+  const sim::JsonValue* ledger_version = doc->find("ledger_schema_version");
   const sim::JsonValue* fingerprint = doc->find("fingerprint");
   if (schema == nullptr || !schema->is_string() ||
       schema->as_string() != CellStore::kSchemaId || schema_version == nullptr ||
       schema_version->as_u64() !=
           std::optional<std::uint64_t>(CellStore::kFormatVersion) ||
+      ledger_version == nullptr ||
+      ledger_version->as_u64() !=
+          std::optional<std::uint64_t>(static_cast<std::uint64_t>(obs::kSchemaVersion)) ||
       fingerprint == nullptr || !fingerprint->is_string() ||
       fingerprint->as_string() != hex16(key)) {
+    return std::nullopt;
+  }
+  if (!parse_key_block(*doc, stored)) return std::nullopt;
+  return doc;
+}
+
+/// The unit and FoM samples of a verified payload. False when either is
+/// missing or mistyped.
+bool read_fom(const sim::JsonValue& doc, std::string* unit, std::vector<double>* samples) {
+  const sim::JsonValue* unit_value = doc.find("unit");
+  const sim::JsonValue* sample_values = doc.find("fom_samples");
+  if (unit_value == nullptr || !unit_value->is_string() || sample_values == nullptr ||
+      !sample_values->is_array()) {
     return false;
   }
-  if (!parse_key_block(*doc, &out->id)) return false;
-  const sim::JsonValue* unit = doc->find("unit");
-  const sim::JsonValue* samples = doc->find("fom_samples");
-  if (unit == nullptr || !unit->is_string() || samples == nullptr ||
-      !samples->is_array()) {
-    return false;
-  }
-  out->unit = unit->as_string();
-  for (const sim::JsonValue& sample : samples->items()) {
+  *unit = unit_value->as_string();
+  for (const sim::JsonValue& sample : sample_values->items()) {
     double v = 0.0;
     if (!read_stored_double(sample, &v)) return false;
-    out->fom_samples.push_back(v);
+    samples->push_back(v);
   }
-  out->key = key;
   return true;
 }
 
@@ -271,56 +291,19 @@ CellStore::ReadOutcome CellStore::read_entry(std::uint64_t key, const CellKey& i
     return finish(ReadOutcome::kCorrupt, 0);
   };
 
-  // Header: everything before the first newline must equal the line we
-  // would write for the observed payload (zero-length and truncated files
-  // fail here; so do bad checksums and foreign format versions).
-  const std::size_t eol = blob.find('\n');
-  if (eol == std::string::npos) return corrupt();
-  const std::string payload = blob.substr(eol + 1);
-  if (blob.compare(0, eol, header_line(payload.size(), checksum(payload))) != 0) {
-    return corrupt();
-  }
-
-  std::string parse_error;
-  const auto doc = sim::json_parse(payload, &parse_error);
-  if (!doc || !doc->is_object()) return corrupt();
-
-  const sim::JsonValue* schema = doc->find("schema");
-  const sim::JsonValue* schema_version = doc->find("schema_version");
-  const sim::JsonValue* ledger_version = doc->find("ledger_schema_version");
-  const sim::JsonValue* fingerprint = doc->find("fingerprint");
-  if (schema == nullptr || !schema->is_string() || schema->as_string() != kSchemaId ||
-      schema_version == nullptr ||
-      schema_version->as_u64() != std::optional<std::uint64_t>(kFormatVersion) ||
-      ledger_version == nullptr ||
-      ledger_version->as_u64() !=
-          std::optional<std::uint64_t>(static_cast<std::uint64_t>(obs::kSchemaVersion)) ||
-      fingerprint == nullptr || !fingerprint->is_string() ||
-      fingerprint->as_string() != hex16(key)) {
-    return corrupt();
-  }
-
+  CellKey stored;
+  const auto doc = verify_entry(blob, key, &stored);
+  if (!doc) return corrupt();
   // Collision check: the stored key must match the requested cell on every
   // field, not just on the 64-bit hash the filename encodes.
-  CellKey stored;
-  if (!parse_key_block(*doc, &stored)) return corrupt();
   if (!(stored == id)) return finish(ReadOutcome::kKeyMismatch, 0);
 
   if (out != nullptr) {
-    const sim::JsonValue* unit = doc->find("unit");
-    const sim::JsonValue* samples = doc->find("fom_samples");
-    const sim::JsonValue* ledger = doc->find("ledger");
-    if (unit == nullptr || !unit->is_string() || samples == nullptr ||
-        !samples->is_array() || ledger == nullptr) {
-      return corrupt();
-    }
     RunStats stats;
-    stats.unit = unit->as_string();
-    for (const sim::JsonValue& sample : samples->items()) {
-      double v = 0.0;
-      if (!read_stored_double(sample, &v)) return corrupt();
-      stats.fom.add(v);
-    }
+    std::vector<double> samples;
+    const sim::JsonValue* ledger = doc->find("ledger");
+    if (!read_fom(*doc, &stats.unit, &samples) || ledger == nullptr) return corrupt();
+    for (const double v : samples) stats.fom.add(v);
     std::string restore_error;
     if (!stats.ledger.restore_storage_json(*ledger, &restore_error)) return corrupt();
     *out = std::move(stats);
@@ -471,40 +454,21 @@ std::vector<CellIndexEntry> CellStore::scan_index(std::uint64_t* corrupt) const 
   }
   std::sort(names.begin(), names.end());
 
-  const auto bad = [corrupt] {
-    if (corrupt != nullptr) ++*corrupt;
-  };
   for (const std::string& name : names) {
-    const std::string path = root_ + "/" + name;
-    // mmap the entry read-only: the scan verifies and parses in place, so a
-    // million-cell store indexes without double-buffering every file.
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) {
-      bad();
-      continue;
-    }
-    struct stat st{};
-    if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
-      (void)::close(fd);
-      bad();
-      continue;
-    }
-    const auto size = static_cast<std::size_t>(st.st_size);
-    void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-    (void)::close(fd);
-    if (map == MAP_FAILED) {
-      bad();
-      continue;
-    }
-    const std::string blob(static_cast<const char*>(map), size);
-    (void)::munmap(map, size);
-
+    const std::optional<std::uint64_t> key = parse_entry_name(name);
+    std::string blob;
+    bool existed = false;
     CellIndexEntry entry;
-    if (!parse_index_entry(blob, name, &entry)) {
-      bad();
+    std::optional<sim::JsonValue> doc;
+    if (key && read_file(root_ + "/" + name, &blob, &existed)) {
+      doc = verify_entry(blob, *key, &entry.id);
+    }
+    if (!doc || !read_fom(*doc, &entry.unit, &entry.fom_samples)) {
+      if (corrupt != nullptr) ++*corrupt;
       continue;
     }
-    entry.bytes = size;
+    entry.key = *key;
+    entry.bytes = blob.size();
     index.push_back(std::move(entry));
   }
   return index;

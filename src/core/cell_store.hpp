@@ -162,8 +162,9 @@ class CellStore {
   [[nodiscard]] std::string claim_path(std::uint64_t key) const;
 
   /// Read-only scan of every `.cell` entry under the root, in sorted
-  /// filename order. Each file is mmap-ed, header/checksum/schema-verified
-  /// and its key block + FoM samples parsed — no ledger reconstruction, so
+  /// filename order. Each file passes the same verification as load()
+  /// (header, checksum, schema and ledger versions, fingerprint, key block)
+  /// and yields its key block + FoM samples — no ledger reconstruction, so
   /// the scan is cheap enough to run once at query-server startup.
   /// Unverifiable entries are skipped and counted into `*corrupt` (when
   /// non-null), never quarantined: scanning must not mutate the store.

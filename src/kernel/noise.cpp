@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "sim/contracts.hpp"
 
@@ -10,37 +9,11 @@ namespace mkos::kernel {
 
 namespace {
 
-/// Below this event count the exact per-event loop is cheaper than (and no
-/// less accurate than) the moment-matched normal for capped components.
-constexpr std::uint64_t kNormalSumThreshold = 32;
-
 /// Bounded proxy scale for the second moment of an uncapped Pareto with
 /// alpha <= 2 (divergent m2): pretend a cap at 100x the scale, mirroring
 /// the old expected_fraction() fallback. Only reached by models no preset
 /// uses; every heavy-tailed preset component carries a real cap.
 constexpr double kUncappedParetoProxy = 100.0;
-
-/// One exact draw of component `c` (capped), in ns. The per-event fallback
-/// of sample_component_sum_ns and the reference the property tests compare
-/// against.
-double draw_one_ns(const NoiseComponent& c, sim::Rng& rng) {
-  double d;
-  switch (c.dist) {
-    case NoiseComponent::Dist::kFixed:
-      d = static_cast<double>(c.duration.ns());
-      break;
-    case NoiseComponent::Dist::kExponential:
-      d = rng.exponential(static_cast<double>(c.duration.ns()));
-      break;
-    case NoiseComponent::Dist::kPareto:
-      d = rng.pareto(static_cast<double>(c.duration.ns()), c.pareto_alpha);
-      break;
-    default:
-      d = 0.0;
-  }
-  if (c.cap.ns() > 0) d = std::min(d, static_cast<double>(c.cap.ns()));
-  return d;
-}
 
 /// Truncated moments of Pareto(xm, alpha) capped at c (requires c > xm):
 ///   E[min(X,c)^k] = integral_xm^c x^k f(x) dx + c^k (xm/c)^alpha.
@@ -105,7 +78,6 @@ ComponentMoments component_moments(const NoiseComponent& c) {
         // Divergent raw moments: bounded proxy (see kUncappedParetoProxy).
         m = pareto_capped_moments(xm, std::max(alpha, 1e-6),
                                   xm * kUncappedParetoProxy);
-        m.m2_finite = false;
       }
       break;
     }
@@ -113,46 +85,6 @@ ComponentMoments component_moments(const NoiseComponent& c) {
       break;
   }
   return m;
-}
-
-double sample_component_sum_ns(const NoiseComponent& c, const ComponentMoments& m,
-                               std::uint64_t n, sim::Rng& rng,
-                               SampleCounters* counters) {
-  if (n == 0) return 0.0;
-  const double cap = static_cast<double>(c.cap.ns());
-  const double nd = static_cast<double>(n);
-
-  // Exact closed forms first.
-  if (c.dist == NoiseComponent::Dist::kFixed) {
-    if (counters != nullptr) ++counters->analytic_sums;
-    return m.m1_ns * nd;  // every event is the (capped) constant
-  }
-  if (c.dist == NoiseComponent::Dist::kExponential && cap <= 0.0) {
-    if (counters != nullptr) ++counters->analytic_sums;
-    return rng.exponential_sum(n, static_cast<double>(c.duration.ns()));
-  }
-
-  // Capped / heavy-tailed shapes: moment-matched normal over the truncated
-  // moments once the CLT has teeth, exact per-event draws below that.
-  if (n >= kNormalSumThreshold && m.m2_finite) {
-    if (counters != nullptr) ++counters->analytic_sums;
-    const double var = std::max(m.m2_ns2 - m.m1_ns * m.m1_ns, 0.0) * nd;
-    double s = rng.normal(m.m1_ns * nd, std::sqrt(var));
-    double lo = 0.0;
-    double hi = std::numeric_limits<double>::infinity();
-    if (c.dist == NoiseComponent::Dist::kPareto) {
-      // Every Pareto draw is at least the scale xm (or the cap, if lower).
-      const double xm = static_cast<double>(c.duration.ns());
-      lo = nd * (cap > 0.0 ? std::min(xm, cap) : xm);
-    }
-    if (cap > 0.0) hi = nd * cap;
-    return std::clamp(s, lo, hi);
-  }
-
-  if (counters != nullptr) counters->exact_events += n;
-  double sum = 0.0;
-  for (std::uint64_t i = 0; i < n; ++i) sum += draw_one_ns(c, rng);
-  return sum;
 }
 
 double sample_component_max_ns(const NoiseComponent& c, std::uint64_t n,
@@ -186,15 +118,11 @@ double sample_component_max_ns(const NoiseComponent& c, std::uint64_t n,
 NoiseModel::NoiseModel(std::vector<NoiseComponent> components)
     : components_(std::move(components)) {
   moments_.reserve(components_.size());
-  for (const auto& c : components_) {
-    moments_.push_back(component_moments(c));
-    lanes_.rate_hz.push_back(c.rate_hz);
-  }
+  for (const auto& c : components_) moments_.push_back(component_moments(c));
 }
 
 NoiseModel& NoiseModel::add(NoiseComponent c) {
   moments_.push_back(component_moments(c));
-  lanes_.rate_hz.push_back(c.rate_hz);
   components_.push_back(std::move(c));
   return *this;
 }
@@ -205,24 +133,6 @@ double NoiseModel::expected_fraction() const {
     f += components_[i].rate_hz * moments_[i].m1_ns * 1e-9;
   }
   return f;
-}
-
-sim::TimeNs NoiseModel::sample(sim::TimeNs span, sim::Rng& rng,
-                               SampleCounters* counters) const {
-  MKOS_EXPECTS(span >= sim::TimeNs{0});
-  sim::TimeNs stolen{0};
-  const double span_s = span.sec();
-  // Scan the SoA rate lane, not the components: in the common all-zero case
-  // this touches one contiguous double per component instead of the whole
-  // label-bearing struct. lanes_.rate_hz[i] == components_[i].rate_hz, so
-  // every draw is bit-identical to the AoS loop this replaces.
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    const std::uint64_t n = rng.poisson(lanes_.rate_hz[i] * span_s);
-    if (n == 0) continue;
-    stolen += sim::from_double_ns(
-        sample_component_sum_ns(components_[i], moments_[i], n, rng, counters));
-  }
-  return stolen;
 }
 
 NoiseModel noise_lwk() {

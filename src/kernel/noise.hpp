@@ -8,9 +8,9 @@
 //
 // A NoiseModel is a set of independent detour sources. Each source fires as
 // a Poisson process at `rate_hz` and steals a duration drawn from its
-// distribution. sample() returns the total stolen time accumulated while the
-// application computes for `span`; collectives then propagate the per-rank
-// tails (max-reduction), which is where amplification at scale comes from.
+// distribution. runtime::NoiseExtremes samples the maximum stolen time over
+// a job's cores; collectives propagate those per-rank tails (max-reduction),
+// which is where amplification at scale comes from.
 
 #include <string>
 #include <vector>
@@ -33,53 +33,30 @@ struct NoiseComponent {
 
 /// Closed-form moments of one capped event draw min(X, cap). These replace
 /// the Monte-Carlo moment estimation the extreme-value sampler used to run
-/// at construction (8k draws per component) and anchor the analytic sum
-/// paths: the "expected clip mass" E[(X - cap)+] is folded in exactly by
-/// integrating the truncated density instead of the raw one.
+/// at construction (8k draws per component): the "expected clip mass"
+/// E[(X - cap)+] is folded in exactly by integrating the truncated density
+/// instead of the raw one.
 struct ComponentMoments {
-  double m1_ns = 0.0;    ///< E[min(X, cap)] in ns
-  double m2_ns2 = 0.0;   ///< E[min(X, cap)^2] in ns^2
-  bool m2_finite = true; ///< false: uncapped Pareto alpha <= 2 (m2 uses a
-                         ///  100x-scale effective cap as a bounded proxy)
+  double m1_ns = 0.0;   ///< E[min(X, cap)] in ns
+  double m2_ns2 = 0.0;  ///< E[min(X, cap)^2] in ns^2; for an uncapped Pareto
+                        ///  with alpha <= 2 (divergent), a bounded proxy
+                        ///  that caps the draw at 100x its scale
 };
 [[nodiscard]] ComponentMoments component_moments(const NoiseComponent& c);
 
-/// Telemetry of the sampling engine: how much work went through analytic
-/// O(1) paths vs exact per-event draws. Deterministic per seed, so the
-/// counters may live in the run ledger's deterministic block.
+/// Telemetry of the extreme-value sampler: which path drew each component
+/// maximum. Deterministic per seed, so the counters may live in the run
+/// ledger's deterministic block.
 struct SampleCounters {
-  std::uint64_t analytic_sums = 0;    ///< component sums via Gamma / normal
-  std::uint64_t exact_events = 0;     ///< individually drawn events
   std::uint64_t analytic_maxima = 0;  ///< inverse-CDF maximum draws
   std::uint64_t gumbel_draws = 0;     ///< frequent-component Gumbel maxima
 };
-
-/// Sum of n iid (capped) draws of component `c`, in nanoseconds.
-/// O(events) only for small n on capped/heavy-tailed shapes; otherwise a
-/// single Gamma variate (uncapped exponential — exact in distribution) or
-/// a moment-matched normal on the truncated moments (large n; CLT).
-[[nodiscard]] double sample_component_sum_ns(const NoiseComponent& c,
-                                             const ComponentMoments& m,
-                                             std::uint64_t n, sim::Rng& rng,
-                                             SampleCounters* counters = nullptr);
 
 /// One draw distributed as the maximum of n iid (capped) draws of `c`,
 /// via the inverse CDF at U^(1/n) — exact in distribution, one uniform
 /// instead of n full draws. Precondition: n >= 1.
 [[nodiscard]] double sample_component_max_ns(const NoiseComponent& c, std::uint64_t n,
                                              sim::Rng& rng);
-
-/// Structure-of-arrays lanes over the per-component scalars the sample scan
-/// actually reads. A NoiseComponent is label-string-first and ~80 bytes, so
-/// scanning the AoS pulls two cache lines per component just to learn that
-/// its Poisson count is zero (the common case: rates are per second, spans
-/// are microseconds). The lanes pack the firing rates contiguously —
-/// parallel to components()/moments(), rebuilt on add().
-struct ComponentLanes {
-  std::vector<double> rate_hz;   ///< Poisson intensity of each component
-
-  [[nodiscard]] std::size_t size() const { return rate_hz.size(); }
-};
 
 class NoiseModel {
  public:
@@ -92,24 +69,14 @@ class NoiseModel {
   /// to components()).
   [[nodiscard]] const std::vector<ComponentMoments>& moments() const { return moments_; }
 
-  /// SoA view of the hot per-component scalars (parallel to components()).
-  [[nodiscard]] const ComponentLanes& lanes() const { return lanes_; }
-
   /// Expected stolen fraction of CPU time (analytic; for reports/tests).
   [[nodiscard]] double expected_fraction() const;
-
-  /// Stolen time accumulated over a compute span. O(components), not
-  /// O(events): each component contributes one Poisson count draw plus one
-  /// batched sum draw (see sample_component_sum_ns).
-  [[nodiscard]] sim::TimeNs sample(sim::TimeNs span, sim::Rng& rng,
-                                   SampleCounters* counters = nullptr) const;
 
   NoiseModel& add(NoiseComponent c);
 
  private:
   std::vector<NoiseComponent> components_;
-  std::vector<ComponentMoments> moments_;  ///< hoisted out of the sample path
-  ComponentLanes lanes_;                   ///< SoA mirror of the hot scalars
+  std::vector<ComponentMoments> moments_;  ///< parallel to components_
 };
 
 /// LWK application cores: essentially silent (cooperative scheduler, no

@@ -20,11 +20,9 @@ constexpr double kRareEventThreshold = 2048.0;   ///< expected events across job
 }  // namespace
 
 NoiseExtremes::NoiseExtremes(kernel::NoiseModel model) : model_(std::move(model)) {
-  moments_.reserve(model_.components().size());
-  for (const auto& c : model_.components()) {
-    const kernel::ComponentMoments m = kernel::component_moments(c);
-    moments_.push_back(Moments{c.rate_hz, m.m1_ns, m.m2_ns2});
-    rate_mean_sum_ += c.rate_hz * m.m1_ns;
+  const auto& comps = model_.components();
+  for (std::size_t ci = 0; ci < comps.size(); ++ci) {
+    rate_mean_sum_ += comps[ci].rate_hz * model_.moments()[ci].m1_ns;
   }
 }
 
@@ -32,7 +30,7 @@ double NoiseExtremes::mean_fraction() const { return rate_mean_sum_ * 1e-9; }
 
 double NoiseExtremes::total_rate_hz() const {
   double r = 0.0;
-  for (const auto& m : moments_) r += m.rate_hz;
+  for (const auto& c : model_.components()) r += c.rate_hz;
   return r;
 }
 
@@ -65,10 +63,10 @@ NoiseWindow NoiseExtremes::sample(sim::TimeNs span, std::uint64_t cores,
   double max_total = 0.0;
   for (std::size_t ci = 0; ci < comps.size(); ++ci) {
     const auto& c = comps[ci];
-    const auto& m = moments_[ci];
-    const double lambda_core = m.rate_hz * span_s;       // events per core
+    const auto& m = model_.moments()[ci];
+    const double lambda_core = c.rate_hz * span_s;       // events per core
     const double lambda_total = lambda_core * static_cast<double>(cores);
-    const double comp_mean = lambda_core * m.mean_ns;
+    const double comp_mean = lambda_core * m.m1_ns;
 
     double comp_max;
     if (lambda_core <= kSparsePerCore || lambda_total <= kRareEventThreshold) {

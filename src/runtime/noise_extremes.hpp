@@ -55,15 +55,8 @@ class NoiseExtremes {
   [[nodiscard]] sim::TimeNs max_cap() const;
 
  private:
-  struct Moments {
-    double rate_hz;
-    double mean_ns;   ///< E[min(duration, cap)]
-    double m2_ns2;    ///< E[min(duration, cap)^2]
-  };
-
   kernel::NoiseModel model_;  ///< owned copy — callers may pass temporaries
-  std::vector<Moments> moments_;
-  double rate_mean_sum_ = 0.0;  ///< sum of rate_hz * mean_ns (hoisted)
+  double rate_mean_sum_ = 0.0;  ///< sum of rate_hz * m1_ns (hoisted)
 };
 
 }  // namespace mkos::runtime

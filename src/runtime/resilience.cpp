@@ -45,8 +45,7 @@ ResilienceManager::ResilienceManager(const fault::Spec& spec, Job& job,
                         seed) {}
 
 ResilienceManager::ResilienceManager(fault::Plan plan, Job& job, std::uint64_t seed)
-    : spec_(plan.spec()),
-      job_(job),
+    : job_(job),
       plan_(std::move(plan)),
       rng_(sim::Rng(seed).fork(1)),
       mem_rng_(sim::Rng(seed).fork(2)) {
@@ -60,13 +59,13 @@ ResilienceManager::~ResilienceManager() {
 }
 
 void ResilienceManager::install_memory_faults() {
-  if (spec_.mcdram_fail_fraction <= 0.0) return;
+  if (plan_.spec().mcdram_fail_fraction <= 0.0) return;
   const auto& topo = job_.node().topo();
   auto& phys = job_.node().phys();
   for (int id = 0; id < phys.domain_count(); ++id) {
     if (topo.domain(id).kind != hw::MemKind::kMcdram) continue;
     phys.domain(id).set_fault_hook([this](sim::Bytes) {
-      if (mem_rng_.next_double() >= spec_.mcdram_fail_fraction) return false;
+      if (mem_rng_.next_double() >= plan_.spec().mcdram_fail_fraction) return false;
       ++counters_.injected;
       ++counters_.detected;
       ++counters_.mcdram_denied;
@@ -84,18 +83,19 @@ bool ResilienceManager::uses_ikc() const {
 
 sim::TimeNs ResilienceManager::on_sync(sim::TimeNs span) {
   MKOS_EXPECTS(span >= sim::TimeNs{0});
+  const fault::Spec& spec = plan_.spec();
   const sim::TimeNs w0 = progress_;
   const sim::TimeNs w1 = progress_ + span;
   progress_ = w1;
   sim::TimeNs extra{0};
 
   // Coordinated checkpoint cadence: one flush per interval boundary crossed.
-  if (fault::policy_checkpoints(spec_.policy) && spec_.checkpoint_interval.ns() > 0) {
-    const std::int64_t interval = spec_.checkpoint_interval.ns();
+  if (fault::policy_checkpoints(spec.policy) && spec.checkpoint_interval.ns() > 0) {
+    const std::int64_t interval = spec.checkpoint_interval.ns();
     const std::int64_t crossed = w1.ns() / interval - w0.ns() / interval;
     if (crossed > 0) {
       counters_.checkpoints += static_cast<std::uint64_t>(crossed);
-      const sim::TimeNs cost = spec_.checkpoint_cost * crossed;
+      const sim::TimeNs cost = spec.checkpoint_cost * crossed;
       counters_.checkpoint_ns += static_cast<std::uint64_t>(cost.ns());
       extra += cost;
     }
@@ -116,18 +116,20 @@ sim::TimeNs ResilienceManager::on_sync(sim::TimeNs span) {
 }
 
 sim::TimeNs ResilienceManager::fail_stop_cost(sim::TimeNs at) {
+  const fault::Spec& spec = plan_.spec();
   ++counters_.restarts;
   sim::TimeNs lost = at;  // no checkpoints: all progress since t=0 is redone
-  if (fault::policy_checkpoints(spec_.policy) && spec_.checkpoint_interval.ns() > 0) {
-    const std::int64_t interval = spec_.checkpoint_interval.ns();
+  if (fault::policy_checkpoints(spec.policy) && spec.checkpoint_interval.ns() > 0) {
+    const std::int64_t interval = spec.checkpoint_interval.ns();
     lost = sim::TimeNs{at.ns() - (at.ns() / interval) * interval};
     ++counters_.recovered;
   }
   counters_.lost_work_ns += static_cast<std::uint64_t>(lost.ns());
-  return spec_.restart_cost + lost;
+  return spec.restart_cost + lost;
 }
 
 sim::TimeNs ResilienceManager::apply_event(const fault::FaultEvent& e) {
+  const fault::Spec& spec = plan_.spec();
   switch (e.kind) {
     case fault::FaultKind::kNodeFailStop: {
       ++counters_.detected;
@@ -149,7 +151,7 @@ sim::TimeNs ResilienceManager::apply_event(const fault::FaultEvent& e) {
       ++counters_.recovered;
       const double coupling = offload_coupling(job_.kernel().kind());
       sim::TimeNs stall = e.duration.scaled(coupling);
-      stall += spec_.proxy_respawn_cost * node.proxy_process_count();
+      stall += spec.proxy_respawn_cost * node.proxy_process_count();
       return stall;
     }
 
@@ -161,13 +163,13 @@ sim::TimeNs ResilienceManager::apply_event(const fault::FaultEvent& e) {
       w.end = e.at + e.duration;
       const double slowdown = std::max(0.0, e.magnitude - 1.0);
       sim::TimeNs upfront{0};
-      if (fault::policy_retries(spec_.policy)) {
+      if (fault::policy_retries(spec.policy)) {
         // Redistribute: peers absorb all but a residual of the slowdown,
         // for a one-time re-decomposition cost.
         ++counters_.recovered;
-        w.dilation = slowdown * spec_.redistribute_residual;
-        w.absorbed = slowdown * (1.0 - spec_.redistribute_residual);
-        upfront = spec_.redistribution_cost;
+        w.dilation = slowdown * spec.redistribute_residual;
+        w.absorbed = slowdown * (1.0 - spec.redistribute_residual);
+        upfront = spec.redistribution_cost;
       } else {
         // BSP exposes the full slowdown: everyone waits for the straggler.
         w.dilation = slowdown;
@@ -199,15 +201,15 @@ sim::TimeNs ResilienceManager::apply_event(const fault::FaultEvent& e) {
           std::max<long long>(1, std::llround(e.magnitude)));
       counters_.ikc_dropped += messages;
       sim::TimeNs cost{0};
-      if (fault::policy_retries(spec_.policy)) {
+      if (fault::policy_retries(spec.policy)) {
         // Exponential backoff per message; each retry is itself lost with
         // probability kRetryLossP (transient congestion decays).
         for (std::uint64_t m = 0; m < messages; ++m) {
           int attempts = 1;
-          sim::TimeNs backoff = spec_.ikc_backoff_base;
-          while (attempts < spec_.ikc_max_retries &&
+          sim::TimeNs backoff = spec.ikc_backoff_base;
+          while (attempts < spec.ikc_max_retries &&
                  rng_.next_double() < kRetryLossP) {
-            backoff += spec_.ikc_backoff_base * (std::int64_t{1} << attempts);
+            backoff += spec.ikc_backoff_base * (std::int64_t{1} << attempts);
             ++attempts;
           }
           counters_.retried += static_cast<std::uint64_t>(attempts);
@@ -217,9 +219,9 @@ sim::TimeNs ResilienceManager::apply_event(const fault::FaultEvent& e) {
         }
       } else {
         // No retry: each lost request stalls its rank to the full timeout.
-        const int shift = std::min(spec_.ikc_max_retries, 12);
+        const int shift = std::min(spec.ikc_max_retries, 12);
         const sim::TimeNs timeout =
-            spec_.ikc_backoff_base * (std::int64_t{1} << shift);
+            spec.ikc_backoff_base * (std::int64_t{1} << shift);
         cost = timeout * static_cast<std::int64_t>(messages);
         counters_.lost_work_ns += static_cast<std::uint64_t>(cost.ns());
       }

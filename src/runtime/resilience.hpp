@@ -100,7 +100,6 @@ class MKOS_THREAD_CONFINED("the owning cell's MpiWorld") ResilienceManager {
   [[nodiscard]] sim::TimeNs charge_windows(sim::TimeNs w0, sim::TimeNs w1);
   [[nodiscard]] bool uses_ikc() const;
 
-  fault::Spec spec_;
   Job& job_;
   fault::Plan plan_;
   sim::Rng rng_;      ///< recovery decisions (retry coin flips)

@@ -58,54 +58,6 @@ double Rng::exponential(double mean) {
   return -mean * std::log(u);
 }
 
-double Rng::normal(double mean, double stddev) {
-  MKOS_EXPECTS(stddev >= 0);
-  // Box-Muller (cosine branch; the sine twin is discarded to keep the
-  // draw count a fixed two uniforms per call).
-  double u1 = next_double();
-  const double u2 = next_double();
-  if (u1 <= 0.0) u1 = 0x1.0p-53;
-  const double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
-  return mean + stddev * z;
-}
-
-double Rng::gamma(double shape, double scale) {
-  MKOS_EXPECTS(shape > 0 && scale > 0);
-  if (shape < 1.0) {
-    // Boost: if G ~ Gamma(shape + 1) and U uniform, G * U^(1/shape) is
-    // Gamma(shape).
-    double u = next_double();
-    if (u <= 0.0) u = 0x1.0p-53;
-    return gamma(shape + 1.0, scale) * std::pow(u, 1.0 / shape);
-  }
-  // Marsaglia & Tsang (2000): squeeze-accept on a transformed normal.
-  // Acceptance probability is > 95% across all shapes, so the expected
-  // draw count is a small constant even for shape in the millions.
-  const double d = shape - 1.0 / 3.0;
-  const double c = 1.0 / std::sqrt(9.0 * d);
-  for (;;) {
-    double x;
-    double v;
-    do {
-      x = normal(0.0, 1.0);
-      v = 1.0 + c * x;
-    } while (v <= 0.0);
-    v = v * v * v;
-    double u = next_double();
-    if (u <= 0.0) u = 0x1.0p-53;
-    const double x2 = x * x;
-    if (u < 1.0 - 0.0331 * x2 * x2) return d * v * scale;
-    if (std::log(u) < 0.5 * x2 + d * (1.0 - v + std::log(v))) return d * v * scale;
-  }
-}
-
-double Rng::exponential_sum(std::uint64_t n, double mean) {
-  MKOS_EXPECTS(mean > 0);
-  if (n == 0) return 0.0;
-  if (n == 1) return exponential(mean);
-  return gamma(static_cast<double>(n), mean);
-}
-
 double Rng::pareto(double xm, double alpha) {
   MKOS_EXPECTS(xm > 0 && alpha > 0);
   double u = next_double();

@@ -27,20 +27,6 @@ class Rng {
   /// Exponential with the given mean (> 0).
   double exponential(double mean);
 
-  /// Normal with the given mean and standard deviation (>= 0).
-  double normal(double mean, double stddev);
-
-  /// Gamma with the given shape k (> 0) and scale theta (> 0), via
-  /// Marsaglia-Tsang squeeze rejection: O(1) draws regardless of shape.
-  /// Gamma(n, mu) is exactly the distribution of the sum of n iid
-  /// Exponential(mu) variates — the batched-draw primitive of the hot-path
-  /// sampling engine (one call replaces n exponential() calls).
-  double gamma(double shape, double scale);
-
-  /// Sum of n iid Exponential(mean) draws in O(1): a single Gamma(n, mean)
-  /// variate. Exact in distribution for every n >= 1.
-  double exponential_sum(std::uint64_t n, double mean);
-
   /// Pareto with scale xm (> 0) and shape alpha (> 0); heavy tail for alpha <= 2.
   double pareto(double xm, double alpha);
 

@@ -1,7 +1,8 @@
 // Unit tests for the persistent cell store (core/cell_store.*): exact
 // round-trip fidelity, corruption detection (truncation, bad checksum,
 // wrong schema version, zero-length entries, seeded mutations), quarantine
-// semantics, hash collisions on disk, and reruns over a partly filled store.
+// semantics, hash collisions on disk, the read-only index scan, and reruns
+// over a partly filled store.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -15,10 +16,12 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/campaign.hpp"
 #include "core/cell_store.hpp"
 #include "core/obs_glue.hpp"
+#include "obs/ledger.hpp"
 #include "sim/json.hpp"
 #include "sim/rng.hpp"
 #include "sim/thread_pool.hpp"
@@ -356,6 +359,71 @@ TEST(CellStore, OnDiskKeyMismatchIsAMissNotQuarantine) {
   // The entry is someone else's valid cell: still there, still served.
   EXPECT_TRUE(fs::exists(store.entry_path(kKey)));
   EXPECT_TRUE(store.load(kKey, make_key()).has_value());
+}
+
+// ------------------------------------------------------------- index scan
+
+TEST(CellStore, ScanIndexListsVerifiedEntriesAndCountsTheRest) {
+  const StoreDir tmp("scan");
+  CellStore store(tmp.path());
+  const RunStats stats = make_stats();
+  CellKey other = make_key();
+  other.nodes = 32;
+  constexpr std::uint64_t kOther = 0x0123456789ABCDEFULL;
+  constexpr std::uint64_t kTorn = 0x00000000000000FFULL;
+  ASSERT_TRUE(store.save(kKey, make_key(), stats));
+  ASSERT_TRUE(store.save(kOther, other, stats));
+  ASSERT_TRUE(store.save(kTorn, make_key(), stats));
+  const std::string torn = read_file(store.entry_path(kTorn));
+  write_file(store.entry_path(kTorn), torn.substr(0, torn.size() / 2));
+  // A valid blob under a name that encodes no key.
+  write_file(tmp.path() + "/zzzzzzzzzzzzzzzz.cell", read_file(store.entry_path(kKey)));
+
+  std::uint64_t corrupt = 0;
+  const std::vector<CellIndexEntry> index = store.scan_index(&corrupt);
+  ASSERT_EQ(index.size(), 2u);
+  EXPECT_EQ(index[0].key, kOther);  // "0123..." sorts before "abcd..."
+  EXPECT_EQ(index[0].id, other);
+  EXPECT_EQ(index[1].key, kKey);
+  EXPECT_EQ(index[1].id, make_key());
+  for (const CellIndexEntry& e : index) {
+    EXPECT_EQ(e.unit, stats.unit);
+    EXPECT_EQ(e.fom_samples, stats.fom.samples());
+    EXPECT_EQ(e.bytes, fs::file_size(store.entry_path(e.key)));
+  }
+  EXPECT_EQ(corrupt, 2u);
+  // Scanning never quarantines: the torn entry is still where it was.
+  EXPECT_TRUE(fs::exists(store.entry_path(kTorn)));
+  for (const auto& f : fs::directory_iterator(tmp.dir)) {
+    EXPECT_NE(f.path().extension(), ".quarantined") << f.path();
+  }
+}
+
+TEST(CellStore, ScanIndexSkipsEntriesLoadWouldQuarantine) {
+  const StoreDir tmp("scan_ledger_version");
+  CellStore store(tmp.path());
+  ASSERT_TRUE(store.save(kKey, make_key(), make_stats()));
+  const std::string path = store.entry_path(kKey);
+
+  // A foreign ledger schema version behind a valid header: only the
+  // ledger-version check can reject it.
+  const std::string whole = read_file(path);
+  const std::size_t eol = whole.find('\n');
+  ASSERT_NE(eol, std::string::npos);
+  std::string payload = whole.substr(eol + 1);
+  const std::string needle =
+      "\"ledger_schema_version\": " + std::to_string(obs::kSchemaVersion);
+  const std::size_t at = payload.find(needle);
+  ASSERT_NE(at, std::string::npos);
+  payload.replace(at, needle.size(),
+                  "\"ledger_schema_version\": " + std::to_string(obs::kSchemaVersion + 1));
+  write_file(path, signed_entry(payload));
+
+  std::uint64_t corrupt = 0;
+  EXPECT_TRUE(store.scan_index(&corrupt).empty());
+  EXPECT_EQ(corrupt, 1u);
+  EXPECT_FALSE(store.load(kKey, make_key()).has_value());
+  EXPECT_EQ(store.counters().corrupt, 1u);
 }
 
 // ------------------------------------------------------------------ rerun

@@ -219,17 +219,6 @@ TEST(Noise, ServiceCoreIsNoisierThanNohzFull) {
             noise_linux_nohz_full().expected_fraction() * 3);
 }
 
-TEST(Noise, SampleMatchesExpectationOverLongSpans) {
-  const NoiseModel m = noise_linux_nohz_full();
-  sim::Rng rng{7};
-  const sim::TimeNs span = sim::seconds(5.0);
-  double total = 0;
-  constexpr int kReps = 40;
-  for (int i = 0; i < kReps; ++i) total += m.sample(span, rng).sec();
-  const double measured_fraction = total / (kReps * span.sec());
-  EXPECT_NEAR(measured_fraction, m.expected_fraction(), m.expected_fraction() * 0.5);
-}
-
 // --------------------------------------------------------------- scheduler
 
 TEST(Scheduler, HijackedYieldIsNearlyFree) {

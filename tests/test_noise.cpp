@@ -39,27 +39,7 @@ TEST(NoisePresets, ComponentsAreLabelled) {
   }
 }
 
-// ------------------------------------------------------------ distributions
-
-TEST(NoiseModel, FixedComponentIsDeterministicPerEvent) {
-  NoiseModel m{{NoiseComponent{"tick", 1000.0, sim::microseconds(3),
-                               NoiseComponent::Dist::kFixed, 1.5, sim::TimeNs{0}}}};
-  sim::Rng rng{1};
-  // Over 1 second expect ~1000 events of exactly 3 us.
-  const auto stolen = m.sample(sim::seconds(1.0), rng);
-  EXPECT_NEAR(stolen.ms(), 3.0, 0.4);
-}
-
-TEST(NoiseModel, CapTruncatesDraws) {
-  NoiseModel m{{NoiseComponent{"tail", 100.0, sim::milliseconds(1),
-                               NoiseComponent::Dist::kPareto, 1.05,
-                               sim::milliseconds(2)}}};
-  sim::Rng rng{2};
-  // Without the cap, alpha=1.05 Pareto over 10k draws would blow far past
-  // 2 ms x count; with it, the average stolen per event stays <= 2 ms.
-  const auto stolen = m.sample(sim::seconds(100.0), rng);
-  EXPECT_LE(stolen.sec(), 100.0 * 100 * 0.002 * 1.05);
-}
+// -------------------------------------------------------------------- model
 
 TEST(NoiseModel, ExpectedFractionAdditive) {
   NoiseModel m = noise_lwk();
@@ -91,18 +71,6 @@ TEST(NoiseExtremesStats, EmptyModelIsSilent) {
   EXPECT_EQ(w.max.ns(), 0);
   EXPECT_DOUBLE_EQ(ex.total_rate_hz(), 0.0);
   EXPECT_DOUBLE_EQ(ex.mean_duration_s(), 0.0);
-}
-
-// --------------------------------------------------------------- SoA lanes
-
-TEST(NoiseLanes, MirrorComponentsThroughConstructionAndAdd) {
-  NoiseModel m = noise_linux_nohz_full();
-  m.add(NoiseComponent{"extra", 3.0, sim::microseconds(2),
-                       NoiseComponent::Dist::kExponential, 1.5, sim::TimeNs{0}});
-  ASSERT_EQ(m.lanes().size(), m.components().size());
-  for (std::size_t i = 0; i < m.components().size(); ++i) {
-    EXPECT_EQ(m.lanes().rate_hz[i], m.components()[i].rate_hz);
-  }
 }
 
 // The supercriticality product that drives the Fig. 5b cliff: crosses 1
