@@ -38,7 +38,8 @@ Sample run_one(workloads::App& app, kernel::OsKind os, int nodes,
   s.elapsed = r.elapsed;
   mem::Placement agg;
   job.lane(0).address_space().for_each([&](const mem::Vma& v) {
-    for (const auto& c : v.placement.chunks()) agg.add(c.domain, c.page, c.bytes);
+    v.placement.for_each_chunk(
+        [&](const mem::Placement::Chunk& c) { agg.add(c.domain, c.page, c.bytes); });
   });
   s.tables = mem::page_tables_for(agg);
   s.walk_depth = mem::average_walk_depth(agg);

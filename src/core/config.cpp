@@ -120,7 +120,7 @@ kernel::NodeOsConfig SystemConfig::node_config() const {
   return nc;
 }
 
-hw::NodeTopology SystemConfig::node_topology() const {
+const hw::NodeTopology& SystemConfig::node_topology() const {
   return mem_mode == MemMode::kSnc4Flat ? hw::knl_snc4_flat() : hw::knl_quadrant_flat();
 }
 

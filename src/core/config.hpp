@@ -81,7 +81,7 @@ struct SystemConfig {
   [[nodiscard]] std::string digest() const;
 
   [[nodiscard]] kernel::NodeOsConfig node_config() const;
-  [[nodiscard]] hw::NodeTopology node_topology() const;
+  [[nodiscard]] const hw::NodeTopology& node_topology() const;
   [[nodiscard]] hw::NetworkModel network() const;
 
   /// Assemble the machine an experiment boots.

@@ -1,6 +1,8 @@
 #pragma once
 // A cluster: N identical nodes joined by a network model. This is the
-// machine an Experiment boots operating systems onto.
+// machine an Experiment boots operating systems onto. It refers to its node
+// topology rather than copying it; the KNL presets live for the whole
+// process (hw/knl.hpp).
 
 #include "hw/network.hpp"
 #include "hw/topology.hpp"
@@ -9,10 +11,12 @@ namespace mkos::hw {
 
 class Cluster {
  public:
-  Cluster(int node_count, NodeTopology node, NetworkModel network);
+  Cluster(int node_count, const NodeTopology& node, NetworkModel network);
+  /// A temporary topology would dangle.
+  Cluster(int node_count, NodeTopology&& node, NetworkModel network) = delete;
 
   [[nodiscard]] int node_count() const { return node_count_; }
-  [[nodiscard]] const NodeTopology& node() const { return node_; }
+  [[nodiscard]] const NodeTopology& node() const { return *node_; }
   [[nodiscard]] const NetworkModel& network() const { return network_; }
 
   [[nodiscard]] sim::Bytes total_memory() const;
@@ -20,7 +24,7 @@ class Cluster {
 
  private:
   int node_count_;
-  NodeTopology node_;
+  const NodeTopology* node_;
   NetworkModel network_;
 };
 

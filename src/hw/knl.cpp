@@ -18,9 +18,7 @@ std::vector<Core> knl_cores() {
   return cores;
 }
 
-}  // namespace
-
-NodeTopology knl_snc4_flat() {
+NodeTopology build_snc4_flat() {
   std::vector<MemoryDomain> domains;
   for (int q = 0; q < 4; ++q) {
     domains.push_back(MemoryDomain{q, MemKind::kDdr4, KnlSpec::kDdr4Total / 4,
@@ -52,7 +50,7 @@ NodeTopology knl_snc4_flat() {
   return NodeTopology{"knl-snc4-flat", knl_cores(), std::move(domains), std::move(dist)};
 }
 
-NodeTopology knl_quadrant_flat() {
+NodeTopology build_quadrant_flat() {
   std::vector<MemoryDomain> domains{
       MemoryDomain{0, MemKind::kDdr4, KnlSpec::kDdr4Total, KnlSpec::kDdr4Gbps, TimeNs{130}, 0},
       MemoryDomain{1, MemKind::kMcdram, KnlSpec::kMcdramTotal, KnlSpec::kMcdramGbps, TimeNs{155}, 0},
@@ -64,6 +62,18 @@ NodeTopology knl_quadrant_flat() {
     cores.push_back(Core{c, 0, KnlSpec::kSmtPerCore});
   }
   return NodeTopology{"knl-quadrant-flat", std::move(cores), std::move(domains), std::move(dist)};
+}
+
+}  // namespace
+
+const NodeTopology& knl_snc4_flat() {
+  static const NodeTopology topo = build_snc4_flat();
+  return topo;
+}
+
+const NodeTopology& knl_quadrant_flat() {
+  static const NodeTopology topo = build_quadrant_flat();
+  return topo;
 }
 
 }  // namespace mkos::hw

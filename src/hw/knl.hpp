@@ -13,11 +13,15 @@
 
 namespace mkos::hw {
 
+// Both presets are built once per process, on first use (thread-safe
+// function-local statics), and never change afterwards: every node of every
+// repetition shares them by reference.
+
 /// SNC-4 flat mode: domains 0..3 are DDR4 (one per quadrant), 4..7 MCDRAM.
-[[nodiscard]] NodeTopology knl_snc4_flat();
+[[nodiscard]] const NodeTopology& knl_snc4_flat();
 
 /// Quadrant flat mode: domain 0 is DDR4, domain 1 is MCDRAM.
-[[nodiscard]] NodeTopology knl_quadrant_flat();
+[[nodiscard]] const NodeTopology& knl_quadrant_flat();
 
 /// Per-node capacities used by the presets (exposed for tests/benches).
 struct KnlSpec {

@@ -13,6 +13,7 @@ NodeTopology::NodeTopology(std::string name, std::vector<Core> cores,
       distances_(std::move(distances)) {
   MKOS_EXPECTS(!cores_.empty());
   MKOS_EXPECTS(!domains_.empty());
+  MKOS_EXPECTS(domains_.size() <= static_cast<std::size_t>(kMaxDomains));
   MKOS_EXPECTS(distances_.size() == domains_.size());
   for (const auto& row : distances_) MKOS_EXPECTS(row.size() == domains_.size());
   for (std::size_t i = 0; i < domains_.size(); ++i) {

@@ -27,6 +27,10 @@ enum class MemKind : std::uint8_t { kMcdram, kDdr4 };
 using DomainId = int;
 using CoreId = int;
 
+/// Most memory domains a node may have: KNL SNC-4 flat's eight (four DDR4,
+/// four MCDRAM). Placement records size their inline storage by it.
+inline constexpr int kMaxDomains = 8;
+
 struct MemoryDomain {
   DomainId id = 0;
   MemKind kind = MemKind::kDdr4;

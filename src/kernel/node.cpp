@@ -24,8 +24,8 @@ NodeOsConfig NodeOsConfig::fusedos_default() {
   return c;
 }
 
-Node::Node(hw::NodeTopology topo, NodeOsConfig config, std::uint64_t seed)
-    : topo_(std::move(topo)), config_(config), phys_(topo_) {
+Node::Node(const hw::NodeTopology& topo, NodeOsConfig config, std::uint64_t seed)
+    : topo_(topo), config_(config), phys_(topo_) {
   MKOS_EXPECTS(config_.app_cores + config_.service_cores <= topo_.core_count());
   sim::Rng rng{seed};
 

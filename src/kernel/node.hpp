@@ -37,7 +37,10 @@ struct NodeOsConfig {
 
 class Node {
  public:
-  Node(hw::NodeTopology topo, NodeOsConfig config, std::uint64_t seed);
+  /// `topo` is shared, not copied: it must outlive the node (the KNL
+  /// presets live for the whole process).
+  Node(const hw::NodeTopology& topo, NodeOsConfig config, std::uint64_t seed);
+  Node(hw::NodeTopology&& topo, NodeOsConfig config, std::uint64_t seed) = delete;
 
   /// The kernel HPC ranks run on (the LWK, or Linux itself).
   [[nodiscard]] Kernel& app_kernel();
@@ -64,7 +67,7 @@ class Node {
   [[nodiscard]] bool lwk_survives_linux_crash() const { return lwk_ != nullptr; }
 
  private:
-  hw::NodeTopology topo_;
+  const hw::NodeTopology& topo_;
   NodeOsConfig config_;
   mem::PhysMemory phys_;
   std::unique_ptr<LinuxKernel> linux_;

@@ -10,31 +10,17 @@ constexpr sim::Bytes kMmapBase = 0x7f0000000000ULL;
 }  // namespace
 
 void Placement::add(hw::DomainId domain, PageSize page, sim::Bytes bytes) {
+  MKOS_EXPECTS(domain >= 0 && domain < hw::kMaxDomains);
   if (bytes == 0) return;
+  const std::size_t s =
+      static_cast<std::size_t>(domain) * kPageSizes + static_cast<std::size_t>(page);
+  if (bytes_[s] == 0) order_[chunk_count_++] = static_cast<std::uint8_t>(s);
+  bytes_[s] += bytes;
   by_page_[static_cast<std::size_t>(page)] += bytes;
-  const auto d = static_cast<std::size_t>(domain);
-  if (d >= by_domain_.size()) {
-    by_domain_.resize(d + 1, 0);
-    chunk_idx_.resize((d + 1) * 3, -1);
-  }
-  by_domain_[d] += bytes;
   total_ += bytes;
-  std::int32_t& idx = chunk_idx_[d * 3 + static_cast<std::size_t>(page)];
-  if (idx >= 0) {
-    chunks_[static_cast<std::size_t>(idx)].bytes += bytes;
-    return;
-  }
-  idx = static_cast<std::int32_t>(chunks_.size());
-  chunks_.push_back(Chunk{domain, page, bytes});
 }
 
-void Placement::clear() {
-  chunks_.clear();
-  total_ = 0;
-  by_page_ = {};
-  by_domain_.clear();
-  chunk_idx_.clear();
-}
+void Placement::clear() { *this = Placement{}; }
 
 AddressSpace::AddressSpace() : mmap_cursor_(kMmapBase) {}
 

@@ -32,7 +32,9 @@ enum class VmaKind : std::uint8_t { kText, kBss, kHeap, kStack, kAnon, kShm, kFi
   return "?";
 }
 
-/// Where a mapping's resident pages physically live.
+/// Where a mapping's resident pages physically live: bytes per (domain,
+/// page size) pair. The storage is inline and bounded by hw::kMaxDomains,
+/// so building, copying or clearing a placement never touches the heap.
 class Placement {
  public:
   struct Chunk {
@@ -41,14 +43,17 @@ class Placement {
     sim::Bytes bytes;
   };
 
+  /// Adds `bytes` to the (domain, page) chunk. A pair's first non-zero add
+  /// opens its chunk after every chunk opened before it.
   void add(hw::DomainId domain, PageSize page, sim::Bytes bytes);
   void clear();
 
   [[nodiscard]] sim::Bytes total() const { return total_; }
   [[nodiscard]] sim::Bytes bytes_in_kind(const hw::NodeTopology& topo, hw::MemKind kind) const {
     sim::Bytes b = 0;
-    for (std::size_t d = 0; d < by_domain_.size(); ++d) {
-      if (topo.domain(static_cast<hw::DomainId>(d)).kind == kind) b += by_domain_[d];
+    for (const hw::DomainId d : topo.domains_of_kind(kind)) {
+      const std::size_t first = static_cast<std::size_t>(d) * kPageSizes;
+      for (std::size_t s = first; s < first + kPageSizes; ++s) b += bytes_[s];
     }
     return b;
   }
@@ -59,19 +64,28 @@ class Placement {
   [[nodiscard]] sim::Bytes bytes_with_page(PageSize p) const {
     return by_page_[static_cast<std::size_t>(p)];
   }
-  [[nodiscard]] const std::vector<Chunk>& chunks() const { return chunks_; }
+
+  [[nodiscard]] std::size_t chunk_count() const { return chunk_count_; }
+  /// Calls f(const Chunk&) for every chunk, in first-add order. Callers
+  /// that sum doubles per chunk (average_walk_depth) depend on that order.
+  template <typename F>
+  void for_each_chunk(F&& f) const {
+    for (std::size_t i = 0; i < chunk_count_; ++i) {
+      const std::size_t s = order_[i];
+      f(Chunk{static_cast<hw::DomainId>(s / kPageSizes), static_cast<PageSize>(s % kPageSizes),
+              bytes_[s]});
+    }
+  }
 
  private:
-  std::vector<Chunk> chunks_;
+  static constexpr std::size_t kPageSizes = 3;  ///< PageSize values
+  static constexpr std::size_t kSlots = static_cast<std::size_t>(hw::kMaxDomains) * kPageSizes;
+
+  std::array<sim::Bytes, kSlots> bytes_{};        ///< by slot: domain * 3 + page
+  std::array<sim::Bytes, kPageSizes> by_page_{};  ///< indexed by PageSize
   sim::Bytes total_ = 0;
-  // Incremental aggregates maintained by add()/clear(): the engine reads
-  // per-page-size and per-domain volumes between every heap cycle, so the
-  // chunk-list scans those reads used to pay are folded into the writes.
-  std::array<sim::Bytes, 3> by_page_{};   ///< indexed by PageSize
-  std::vector<sim::Bytes> by_domain_;     ///< indexed by DomainId
-  /// (domain, page) -> index into chunks_, -1 when absent; turns add()'s
-  /// find-matching-chunk scan into one lookup.
-  std::vector<std::int32_t> chunk_idx_;
+  std::array<std::uint8_t, kSlots> order_{};  ///< slots of the chunks, first-add order
+  std::uint8_t chunk_count_ = 0;
 };
 
 /// Protection bits (PROT_* subset).

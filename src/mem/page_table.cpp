@@ -15,13 +15,13 @@ PageTableStats page_tables_for(const Placement& placement) {
   std::uint64_t pte_entries = 0;   // 4 KiB leaf entries
   std::uint64_t pd_entries = 0;    // 2 MiB leaf entries
   std::uint64_t pdpt_entries = 0;  // 1 GiB leaf entries
-  for (const auto& c : placement.chunks()) {
+  placement.for_each_chunk([&](const Placement::Chunk& c) {
     switch (c.page) {
       case PageSize::k4K: pte_entries += pages_for(c.bytes, PageSize::k4K); break;
       case PageSize::k2M: pd_entries += pages_for(c.bytes, PageSize::k2M); break;
       case PageSize::k1G: pdpt_entries += pages_for(c.bytes, PageSize::k1G); break;
     }
-  }
+  });
   s.pte_tables = div_up(pte_entries, kEntries);
   // PD entries: 2 MiB leaves plus one per PTE table.
   const std::uint64_t pd_total = pd_entries + s.pte_tables;
@@ -35,14 +35,14 @@ double average_walk_depth(const Placement& placement) {
   const sim::Bytes total = placement.total();
   if (total == 0) return 0.0;
   double acc = 0.0;
-  for (const auto& c : placement.chunks()) {
+  placement.for_each_chunk([&](const Placement::Chunk& c) {
     const double frac = static_cast<double>(c.bytes) / static_cast<double>(total);
     switch (c.page) {
       case PageSize::k4K: acc += 4.0 * frac; break;
       case PageSize::k2M: acc += 3.0 * frac; break;
       case PageSize::k1G: acc += 2.0 * frac; break;
     }
-  }
+  });
   return acc;
 }
 

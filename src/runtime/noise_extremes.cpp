@@ -22,7 +22,13 @@ constexpr double kRareEventThreshold = 2048.0;   ///< expected events across job
 NoiseExtremes::NoiseExtremes(kernel::NoiseModel model) : model_(std::move(model)) {
   const auto& comps = model_.components();
   for (std::size_t ci = 0; ci < comps.size(); ++ci) {
-    rate_mean_sum_ += comps[ci].rate_hz * model_.moments()[ci].m1_ns;
+    // The Gumbel path prices the per-core sum from m2_ns2. An uncapped
+    // Pareto with alpha <= 2 has no finite variance, and m2_ns2 is then only
+    // a proxy (the draw capped at 100x its scale): such a source needs a cap.
+    const auto& c = comps[ci];
+    MKOS_EXPECTS(!(c.dist == kernel::NoiseComponent::Dist::kPareto && c.pareto_alpha <= 2.0 &&
+                   c.cap.ns() == 0));
+    rate_mean_sum_ += c.rate_hz * model_.moments()[ci].m1_ns;
   }
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/config.hpp"
+#include "hw/knl.hpp"
 #include "kernel/node.hpp"
 
 namespace {
@@ -79,6 +80,24 @@ TEST(ConfigWiring, MemModeSelectsTopology) {
   EXPECT_EQ(c.node_topology().domains().size(), 2u);
   EXPECT_EQ(c.node_topology().total_capacity(hw::MemKind::kMcdram),
             16ull * sim::GiB);
+}
+
+TEST(ConfigWiring, MachinesShareOneTopologyPerMemMode) {
+  // The KNL presets are built once per process; every machine and node
+  // refers to them instead of holding a copy.
+  const runtime::Machine small = SystemConfig::linux_default().machine(1);
+  const runtime::Machine large = SystemConfig::mos().machine(2048);
+  EXPECT_EQ(&small.cluster.node(), &large.cluster.node());
+  EXPECT_EQ(&small.cluster.node(), &hw::knl_snc4_flat());
+
+  SystemConfig quad = SystemConfig::mckernel();
+  quad.mem_mode = MemMode::kQuadrantFlat;
+  const runtime::Machine q = quad.machine(16);
+  EXPECT_EQ(&q.cluster.node(), &hw::knl_quadrant_flat());
+  EXPECT_NE(&q.cluster.node(), &small.cluster.node());
+
+  runtime::Job job{large, runtime::JobSpec{1, 4, 1}, 3};
+  EXPECT_EQ(&job.node().topo(), &hw::knl_snc4_flat());
 }
 
 TEST(ConfigWiring, NetworkToggle) {

@@ -12,6 +12,10 @@
 #include <string>
 
 #include "core/campaign.hpp"
+#include "hw/topology.hpp"
+#include "kernel/noise.hpp"
+#include "mem/address_space.hpp"
+#include "runtime/noise_extremes.hpp"
 #include "sim/contracts.hpp"
 #include "sim/env.hpp"
 #include "sim/rng.hpp"
@@ -79,6 +83,53 @@ TEST(Audit, EnabledAuditChecksFire) {
   } catch (const ContractViolation& e) {
     EXPECT_NE(std::string(e.what()).find("audit"), std::string::npos);
   }
+}
+
+// ------------------------------------------------------------ model bounds
+// The sources these checks live in are compiled into this binary in throw
+// mode (tests/CMakeLists.txt), so the library's own contracts throw here.
+
+TEST(ModelBounds, PlacementRejectsADomainPastTheBound) {
+  mkos::mem::Placement p;
+  EXPECT_THROW(p.add(mkos::hw::kMaxDomains, mkos::mem::PageSize::k4K, 4096), ContractViolation);
+  EXPECT_THROW(p.add(-1, mkos::mem::PageSize::k4K, 4096), ContractViolation);
+  p.add(mkos::hw::kMaxDomains - 1, mkos::mem::PageSize::k4K, 4096);
+  EXPECT_EQ(p.total(), 4096u);
+}
+
+mkos::hw::NodeTopology flat_topology(int domains) {
+  std::vector<mkos::hw::MemoryDomain> ds;
+  for (int d = 0; d < domains; ++d) {
+    ds.push_back(mkos::hw::MemoryDomain{d, mkos::hw::MemKind::kDdr4, 1 << 30, 10.0,
+                                        mkos::sim::TimeNs{100}, 0});
+  }
+  std::vector<std::vector<int>> dist(static_cast<std::size_t>(domains),
+                                     std::vector<int>(static_cast<std::size_t>(domains), 10));
+  return mkos::hw::NodeTopology{"flat", {mkos::hw::Core{0, 0, 4}}, std::move(ds),
+                                std::move(dist)};
+}
+
+TEST(ModelBounds, TopologyRejectsMoreDomainsThanPlacementsHold) {
+  EXPECT_EQ(flat_topology(mkos::hw::kMaxDomains).domains().size(), 8u);
+  EXPECT_THROW((void)flat_topology(mkos::hw::kMaxDomains + 1), ContractViolation);
+}
+
+TEST(ModelBounds, NoiseExtremesRejectsAnUncappedInfiniteVarianceSource) {
+  using mkos::kernel::NoiseComponent;
+  NoiseComponent tail{"tail", 40.0, mkos::sim::microseconds(20), NoiseComponent::Dist::kPareto,
+                      1.5, mkos::sim::TimeNs{0}};
+  EXPECT_THROW(mkos::runtime::NoiseExtremes{mkos::kernel::NoiseModel{{tail}}},
+               ContractViolation);
+  tail.pareto_alpha = 2.0;  // the variance still diverges at alpha == 2
+  EXPECT_THROW(mkos::runtime::NoiseExtremes{mkos::kernel::NoiseModel{{tail}}},
+               ContractViolation);
+  // The same source with a cap has finite moments.
+  tail.cap = mkos::sim::milliseconds(2);
+  EXPECT_NO_THROW(mkos::runtime::NoiseExtremes{mkos::kernel::NoiseModel{{tail}}});
+  // So has an uncapped Pareto whose variance converges.
+  tail.cap = mkos::sim::TimeNs{0};
+  tail.pareto_alpha = 2.5;
+  EXPECT_NO_THROW(mkos::runtime::NoiseExtremes{mkos::kernel::NoiseModel{{tail}}});
 }
 
 // ------------------------------------------------------- env_int throw mode

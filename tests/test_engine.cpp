@@ -8,11 +8,15 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <sstream>
+#include <string>
 
+#include "alloc/model.hpp"
 #include "core/campaign.hpp"
 #include "core/config.hpp"
 #include "core/obs_glue.hpp"
 #include "kernel/noise.hpp"
+#include "obs/snapshots.hpp"
 #include "runtime/resilience.hpp"
 #include "runtime/simmpi.hpp"
 #include "sim/work_stealing_pool.hpp"
@@ -420,6 +424,127 @@ TEST(FastPaths, FreshWorldBandwidthSentinelNeverLeaks) {
   slow_world.set_fast_paths(false);
   slow_world.compute_bytes(512 * MiB);
   EXPECT_EQ(slow_world.finish().ns(), fast_clock.ns());
+}
+
+// ------------------------------------------------- seeded fast == slow sweep
+
+/// One cell of the seeded sweep over the config space.
+struct SweepDraw {
+  std::string app;
+  kernel::OsKind os = kernel::OsKind::kLinux;
+  int nodes = 1;
+  bool alloc_model = false;
+  /// MCDRAM denial of the resilience spec; negative means no spec at all.
+  double mcdram_fail_fraction = -1.0;
+  std::uint64_t seed = 0;
+};
+
+const char* os_enum(kernel::OsKind os) {
+  switch (os) {
+    case kernel::OsKind::kLinux: return "kLinux";
+    case kernel::OsKind::kMcKernel: return "kMcKernel";
+    case kernel::OsKind::kMos: return "kMos";
+    case kernel::OsKind::kFusedOs: return "kFusedOs";
+  }
+  return "?";
+}
+
+/// The draw as a ready-to-paste regression test.
+std::string as_regression_test(const SweepDraw& d) {
+  std::ostringstream os;
+  os << "TEST(FastPathSweep, Regression) {\n"
+     << "  expect_sweep_equivalent(SweepDraw{\"" << d.app << "\", kernel::OsKind::"
+     << os_enum(d.os) << ", " << d.nodes << ", " << (d.alloc_model ? "true" : "false")
+     << ", " << d.mcdram_fail_fraction << ", " << d.seed << "u});\n"
+     << "}";
+  return os.str();
+}
+
+struct SweepOutcome {
+  WorldOutcome world;
+  std::string ledger;  ///< the rep ledger's JSON without its engine.* lines
+};
+
+/// One repetition of the drawn cell, wired as core::run_once wires it: the
+/// fault plan before setup, the allocator model after it.
+SweepOutcome sweep_outcome(const SweepDraw& d, bool fast_paths) {
+  const std::unique_ptr<workloads::App> app = workloads::make_app(d.app);
+  SystemConfig config = SystemConfig::for_os(d.os);
+  config.alloc.model_allocator = d.alloc_model;
+  const Machine m = config.machine(d.nodes);
+  Job job{m, app->spec(d.nodes), d.seed};
+  std::optional<ResilienceManager> resilience;
+  if (d.mcdram_fail_fraction >= 0.0) {
+    fault::Spec faults;
+    faults.mcdram_fail_fraction = d.mcdram_fail_fraction;
+    resilience.emplace(faults, job, d.seed + 2);
+    resilience->install_memory_faults();
+  }
+  app->setup(job);
+  std::optional<alloc::NodeAllocModel> alloc_model;
+  if (config.alloc.enabled()) {
+    alloc_model.emplace(job.node().topo(), job.node().phys(), config.os, config.alloc,
+                        job.lane_count());
+  }
+  MpiWorld world{job, d.seed + 1};
+  world.set_fast_paths(fast_paths);
+  if (resilience) world.attach_resilience(&*resilience);
+  if (alloc_model) world.attach_alloc(&*alloc_model);
+  const workloads::AppResult result = app->run(job, world);
+  if (alloc_model) alloc_model->drain_lanes();
+
+  obs::RunLedger ledger;
+  obs::record_world(ledger, world);
+  obs::record_job(ledger, job);
+  if (resilience) obs::record_faults(ledger, resilience->counters());
+  if (alloc_model) obs::record_alloc(ledger, alloc_model->counters());
+  ledger.observe("run.fom", result.fom);
+
+  SweepOutcome out{outcome_of(job, world, result.elapsed), {}};
+  std::istringstream lines(ledger.to_json());
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"engine.") == std::string::npos) out.ledger += line + "\n";
+  }
+  return out;
+}
+
+/// Fast and slow paths agree on the drawn cell; on a mismatch the failure
+/// message carries the draw as a test to paste.
+void expect_sweep_equivalent(const SweepDraw& d) {
+  SCOPED_TRACE(as_regression_test(d));
+  const SweepOutcome fast = sweep_outcome(d, true);
+  const SweepOutcome slow = sweep_outcome(d, false);
+  expect_same_outputs(fast.world, slow.world);
+  EXPECT_EQ(fast.ledger, slow.ledger);
+}
+
+SweepDraw draw_cell(sim::Rng& rng) {
+  static const std::vector<std::string> apps = workloads::registry_names();
+  constexpr kernel::OsKind kOses[] = {kernel::OsKind::kLinux, kernel::OsKind::kMcKernel,
+                                      kernel::OsKind::kMos, kernel::OsKind::kFusedOs};
+  SweepDraw d;
+  d.app = apps[rng.uniform_index(apps.size())];
+  d.os = kOses[rng.uniform_index(4)];
+  std::vector<int> counts;
+  for (const int n : workloads::make_app(d.app)->node_counts()) {
+    if (n <= 64) counts.push_back(n);
+  }
+  d.nodes = counts.empty() ? 1 : counts[rng.uniform_index(counts.size())];
+  d.alloc_model = rng.uniform_index(2) == 1;
+  constexpr double kFaults[] = {-1.0, 0.0, 0.5};
+  d.mcdram_fail_fraction = kFaults[rng.uniform_index(3)];
+  d.seed = rng.next_u64() >> 40;
+  return d;
+}
+
+TEST(FastPathSweep, SeededDrawsBitIdenticalToSlowPaths) {
+  // Registry app x OS (FusedOS included) x node count <= 64 x alloc model
+  // x resilience spec (none, inert, MCDRAM denial) x seed.
+  sim::Rng rng{2025};
+  for (int i = 0; i < 500; ++i) {
+    expect_sweep_equivalent(draw_cell(rng));
+    if (HasFailure()) break;  // the first mismatch is the one to paste
+  }
 }
 
 // ------------------------------------------- serial vs pooled ledger bytes

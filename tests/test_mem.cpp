@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <vector>
+
 #include "hw/knl.hpp"
 #include "mem/address_space.hpp"
 #include "mem/phys_allocator.hpp"
 #include "mem/placement.hpp"
+#include "sim/rng.hpp"
 
 namespace {
 
@@ -139,7 +143,7 @@ TEST(AddressSpace, UnmapReturnsVmaWithExtents) {
 }
 
 TEST(Placement, FractionAccounting) {
-  const hw::NodeTopology topo = hw::knl_snc4_flat();
+  const hw::NodeTopology& topo = hw::knl_snc4_flat();
   Placement p;
   p.add(4, PageSize::k2M, 12 * MiB);  // MCDRAM
   p.add(0, PageSize::k4K, 4 * MiB);   // DDR4
@@ -148,7 +152,105 @@ TEST(Placement, FractionAccounting) {
   EXPECT_EQ(p.bytes_with_page(PageSize::k4K), 4 * MiB);
   // Same (domain, page) chunks merge.
   p.add(4, PageSize::k2M, 2 * MiB);
-  EXPECT_EQ(p.chunks().size(), 2u);
+  EXPECT_EQ(p.chunk_count(), 2u);
+}
+
+TEST(Placement, OwnsNoHeapMemory) {
+  // Inline storage only: copying one is a memcpy, and a Vma carries it by value.
+  static_assert(std::is_trivially_copyable_v<Placement>);
+  static_assert(sizeof(Placement) <= 256);
+  Placement p;
+  p.add(hw::kMaxDomains - 1, PageSize::k1G, 1 * GiB);
+  p.clear();
+  EXPECT_EQ(p.total(), 0u);
+  EXPECT_EQ(p.chunk_count(), 0u);
+}
+
+/// The vector-backed placement the inline one replaced: chunks in first-add
+/// order, equal (domain, page) pairs merged, every aggregate a chunk scan.
+class ReferencePlacement {
+ public:
+  void add(hw::DomainId domain, PageSize page, Bytes bytes) {
+    if (bytes == 0) return;
+    for (Placement::Chunk& c : chunks_) {
+      if (c.domain == domain && c.page == page) {
+        c.bytes += bytes;
+        return;
+      }
+    }
+    chunks_.push_back(Placement::Chunk{domain, page, bytes});
+  }
+  void clear() { chunks_.clear(); }
+  [[nodiscard]] Bytes total() const {
+    Bytes b = 0;
+    for (const auto& c : chunks_) b += c.bytes;
+    return b;
+  }
+  [[nodiscard]] Bytes bytes_with_page(PageSize p) const {
+    Bytes b = 0;
+    for (const auto& c : chunks_) b += c.page == p ? c.bytes : 0;
+    return b;
+  }
+  [[nodiscard]] Bytes bytes_in_kind(const hw::NodeTopology& topo, hw::MemKind kind) const {
+    Bytes b = 0;
+    for (const auto& c : chunks_) b += topo.domain(c.domain).kind == kind ? c.bytes : 0;
+    return b;
+  }
+  [[nodiscard]] const std::vector<Placement::Chunk>& chunks() const { return chunks_; }
+
+ private:
+  std::vector<Placement::Chunk> chunks_;
+};
+
+TEST(Placement, RandomSequencesMatchTheReferenceModel) {
+  const hw::NodeTopology& topo = hw::knl_snc4_flat();
+  constexpr PageSize kPages[] = {PageSize::k4K, PageSize::k2M, PageSize::k1G};
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    sim::Rng rng{seed};
+    Placement got;
+    ReferencePlacement want;
+    for (int step = 0; step < 200; ++step) {
+      if (rng.uniform_index(25) == 0) {
+        got.clear();
+        want.clear();
+      } else {
+        const auto domain = static_cast<hw::DomainId>(rng.uniform_index(hw::kMaxDomains));
+        const PageSize page = kPages[rng.uniform_index(3)];
+        // Zero-byte adds, single pages and multi-GiB runs.
+        const Bytes bytes = rng.uniform_index(8) == 0
+                                ? 0
+                                : (rng.uniform_index(1 << 20) + 1) * page_bytes(page) / 8;
+        got.add(domain, page, bytes);
+        want.add(domain, page, bytes);
+      }
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " + std::to_string(step));
+      ASSERT_EQ(got.total(), want.total());
+      for (const PageSize p : kPages) ASSERT_EQ(got.bytes_with_page(p), want.bytes_with_page(p));
+      for (const hw::MemKind k : {hw::MemKind::kMcdram, hw::MemKind::kDdr4}) {
+        ASSERT_EQ(got.bytes_in_kind(topo, k), want.bytes_in_kind(topo, k));
+      }
+      ASSERT_EQ(got.chunk_count(), want.chunks().size());
+      std::size_t i = 0;
+      got.for_each_chunk([&](const Placement::Chunk& c) {
+        ASSERT_LT(i, want.chunks().size());
+        const Placement::Chunk& w = want.chunks()[i++];
+        EXPECT_EQ(c.domain, w.domain);
+        EXPECT_EQ(c.page, w.page);
+        EXPECT_EQ(c.bytes, w.bytes);
+      });
+      ASSERT_FALSE(HasFailure());
+    }
+  }
+}
+
+TEST(Placement, QuadrantFlatReadsOnlyItsTwoDomains) {
+  const hw::NodeTopology& topo = hw::knl_quadrant_flat();
+  Placement p;
+  p.add(0, PageSize::k2M, 6 * MiB);  // DDR4
+  p.add(1, PageSize::k4K, 2 * MiB);  // MCDRAM
+  EXPECT_EQ(p.bytes_in_kind(topo, hw::MemKind::kDdr4), 6 * MiB);
+  EXPECT_EQ(p.bytes_in_kind(topo, hw::MemKind::kMcdram), 2 * MiB);
+  EXPECT_DOUBLE_EQ(p.fraction_in_kind(topo, hw::MemKind::kMcdram), 0.25);
 }
 
 // --------------------------------------------------------------- placement

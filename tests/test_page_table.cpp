@@ -79,7 +79,8 @@ TEST(PageTable, LwkProcessesCarryShallowerTablesThanLinux) {
     app->setup(job);
     Placement agg;
     job.lane(0).address_space().for_each([&](const Vma& v) {
-      for (const auto& c : v.placement.chunks()) agg.add(c.domain, c.page, c.bytes);
+      v.placement.for_each_chunk(
+          [&](const Placement::Chunk& c) { agg.add(c.domain, c.page, c.bytes); });
     });
     return average_walk_depth(agg);
   };
